@@ -5,7 +5,6 @@
 //   - catalog/  : in-memory partitioned tables
 //   - plan/     : logical algebra + PlanBuilder + plan fingerprints
 //   - expr/     : scalar expressions
-//   - cost/     : cardinality estimates, stats feedback, fuse-vs-spool cost
 //   - optimizer/: rule-based optimizer with the Section-IV fusion rules
 //   - fusion/   : the Fuse(P1, P2) primitive itself
 //   - exec/     : streaming executor + metrics + fan-out execution
@@ -21,8 +20,6 @@
 #include "analysis/semantic_ledger.h"
 #include "analysis/semantic_verifier.h"
 #include "catalog/catalog.h"
-#include "cost/cost_model.h"
-#include "cost/stats_feedback.h"
 #include "engine/engine.h"
 #include "exec/executor.h"
 #include "exec/fanout.h"

@@ -3,7 +3,6 @@
 #include <cstdio>
 #include <sstream>
 
-#include "plan/plan_fingerprint.h"
 #include "plan/spool.h"
 
 namespace fusiondb {
@@ -65,10 +64,6 @@ void OptimizerTrace::AnnotateLastFiring(std::string props) {
   firings_.back().props = std::move(props);
 }
 
-void OptimizerTrace::RecordCostDecision(CostDecision decision) {
-  cost_decisions_.push_back(std::move(decision));
-}
-
 void OptimizerTrace::RecordSemanticChecks(int64_t plans, int64_t nodes,
                                           int64_t obligations) {
   semantic_plans_verified_ += plans;
@@ -108,23 +103,6 @@ std::string OptimizerTrace::ToString() const {
     os << "semantic checks: plans=" << semantic_plans_verified_
        << " nodes_derived=" << semantic_nodes_derived_
        << " obligations=" << semantic_obligations_ << "\n";
-  }
-  if (!cost_decisions_.empty()) {
-    os << "cost decisions (fuse vs spool; share vs solo):\n";
-    for (const CostDecision& d : cost_decisions_) {
-      char line[256];
-      std::snprintf(line, sizeof(line),
-                    "  %-5s %s%s %s consumers=%d reexec=%.0fns spool=%.0fns "
-                    "est_rows=%.0f est_bytes=%lld (%s)\n",
-                    d.cross_query ? (d.spooled ? "share" : "solo")
-                                  : (d.spooled ? "spool" : "fuse"),
-                    d.cross_query ? "[cross-query] " : "", d.anchor.c_str(),
-                    FingerprintToString(d.fingerprint).c_str(), d.consumers,
-                    d.reexec_cost_ns, d.spool_cost_ns, d.est_rows,
-                    static_cast<long long>(d.est_bytes),
-                    d.measured ? "measured" : "estimated");
-      os << line;
-    }
   }
   if (!fusion_steps_.empty()) {
     os << "fusion recursion:\n";

@@ -53,29 +53,6 @@ struct FusionStep {
   std::string outcome;
 };
 
-/// One cost-model pricing of a shared computation: the subtree (or, for
-/// cross-query decisions, the fused plan), how many consumers read it, both
-/// priced alternatives, and which one was taken.
-///
-/// Two kinds share this record. Within-plan fuse-vs-spool (adaptive spool
-/// mode, `cross_query == false`): the costs are re-execution vs spooling
-/// and `spooled` means materialized. Cross-query share-vs-solo (the
-/// session layer, `cross_query == true`): `reexec_cost_ns` is the cost of
-/// the members run in isolation, `spool_cost_ns` the cost of the fused
-/// plan plus per-session restoration, and `spooled` means shared.
-struct CostDecision {
-  std::string anchor;        // description of the shared subtree's root
-  uint64_t fingerprint = 0;  // plan fingerprint of the shared subtree
-  int consumers = 0;         // readers the duplicates collapse into
-  double reexec_cost_ns = 0; // consumers × subtree cost (or Σ solo costs)
-  double spool_cost_ns = 0;  // spool alternative (or shared-execution cost)
-  double est_rows = 0;       // estimated subtree output rows
-  int64_t est_bytes = 0;     // estimated spooled bytes
-  bool measured = false;     // estimate backed by measured feedback
-  bool spooled = false;      // true: materialized (or shared); false: solo
-  bool cross_query = false;  // share-vs-solo across sessions (src/server)
-};
-
 class OptimizerTrace {
  public:
   /// Phase bookkeeping (normalize, decorrelate, fuse, ...). Subsequent rule
@@ -100,9 +77,6 @@ class OptimizerTrace {
   /// semantic tier calls this right after verifying the rewrite).
   void AnnotateLastFiring(std::string props);
 
-  /// Records one cost-model fuse-vs-spool pricing (adaptive spool mode).
-  void RecordCostDecision(CostDecision decision);
-
   /// Accumulates semantic-tier work counters (plans verified, property
   /// nodes derived, ledger obligations discharged).
   void RecordSemanticChecks(int64_t plans, int64_t nodes, int64_t obligations);
@@ -110,9 +84,6 @@ class OptimizerTrace {
   const std::vector<RulePhaseStats>& rule_stats() const { return rule_stats_; }
   const std::vector<RuleFiring>& firings() const { return firings_; }
   const std::vector<FusionStep>& fusion_steps() const { return fusion_steps_; }
-  const std::vector<CostDecision>& cost_decisions() const {
-    return cost_decisions_;
-  }
   int64_t dropped_fusion_steps() const { return dropped_fusion_steps_; }
   int64_t semantic_plans_verified() const { return semantic_plans_verified_; }
   int64_t semantic_nodes_derived() const { return semantic_nodes_derived_; }
@@ -130,7 +101,6 @@ class OptimizerTrace {
   std::vector<RulePhaseStats> rule_stats_;
   std::vector<RuleFiring> firings_;
   std::vector<FusionStep> fusion_steps_;
-  std::vector<CostDecision> cost_decisions_;
   int64_t dropped_fusion_steps_ = 0;
   int64_t semantic_plans_verified_ = 0;
   int64_t semantic_nodes_derived_ = 0;

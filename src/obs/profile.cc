@@ -104,25 +104,6 @@ void WriteTrace(const OptimizerTrace& t, JsonWriter* w) {
     w->EndObject();
   }
   w->EndArray();
-  w->Key("cost_decisions");
-  w->BeginArray();
-  for (const CostDecision& d : t.cost_decisions()) {
-    w->BeginObject();
-    w->Field("anchor", d.anchor);
-    // Hex-rendered: a raw uint64 does not fit JsonWriter's int64 (and JSON
-    // numbers past 2^53 lose precision anyway).
-    w->Field("fingerprint", FingerprintToString(d.fingerprint));
-    w->Field("consumers", static_cast<int64_t>(d.consumers));
-    w->Field("reexec_cost_ns", d.reexec_cost_ns);
-    w->Field("spool_cost_ns", d.spool_cost_ns);
-    w->Field("est_rows", d.est_rows);
-    w->Field("est_bytes", d.est_bytes);
-    w->Field("measured", d.measured);
-    w->Field("spooled", d.spooled);
-    w->Field("cross_query", d.cross_query);
-    w->EndObject();
-  }
-  w->EndArray();
   if (t.dropped_fusion_steps() > 0) {
     w->Field("dropped_fusion_steps", t.dropped_fusion_steps());
   }

@@ -19,16 +19,6 @@
 
 namespace fusiondb {
 
-class StatsFeedback;  // cost/stats_feedback.h
-
-/// How the optimizer treats duplicated subtrees (phase 8).
-enum class SpoolMode : uint8_t {
-  kOff,       // leave duplicates in place (re-execute per consumer)
-  kAlways,    // spool every shareable duplicate (the static alternative)
-  kAdaptive,  // price each candidate with the cost model; spool only when
-              // materialization is estimated cheaper than re-execution
-};
-
 struct OptimizerOptions {
   // Section IV rules (the paper's contribution), individually toggleable so
   // the rule-ablation benchmark can isolate each one.
@@ -50,17 +40,11 @@ struct OptimizerOptions {
   bool enable_distinct_lowering = false;
   bool enable_semijoin_rewrites = true;
   bool enable_column_pruning = true;
-  // Materialize duplicated subtrees once via spool buffers — the general
-  // common-subexpression strategy the paper compares fusion against
-  // (kAlways is normally used with the fusion rules off; see
-  // bench/spool_vs_fusion). kAdaptive keeps the fusion rules on and asks
-  // the cost model per candidate whether the duplicates fusion left behind
-  // are worth materializing (DESIGN.md §11).
-  SpoolMode spool_mode = SpoolMode::kOff;
-  // Measured per-fingerprint cardinalities overlaid on the catalog-based
-  // estimates in kAdaptive mode. Not owned; may be null (priors only);
-  // must outlive the Optimizer.
-  const StatsFeedback* feedback = nullptr;
+  // Materialize every shareable duplicated subtree once via spool buffers
+  // (phase 8) — the general common-subexpression strategy the paper
+  // compares fusion against. Normally used with the fusion rules off; see
+  // bench/spool_vs_fusion.
+  bool enable_spooling = false;
 
   /// All Section IV rules off — the paper's baseline.
   static OptimizerOptions Baseline() {
@@ -78,17 +62,7 @@ struct OptimizerOptions {
   /// Fusion rules off, spooling on: the materialization alternative.
   static OptimizerOptions Spooling() {
     OptimizerOptions o = Baseline();
-    o.spool_mode = SpoolMode::kAlways;
-    return o;
-  }
-
-  /// Fusion rules on, plus cost-model-driven spooling of the duplicates
-  /// fusion leaves behind. `feedback` (nullable) supplies measured
-  /// cardinalities from earlier runs.
-  static OptimizerOptions Adaptive(const StatsFeedback* feedback) {
-    OptimizerOptions o;
-    o.spool_mode = SpoolMode::kAdaptive;
-    o.feedback = feedback;
+    o.enable_spooling = true;
     return o;
   }
 };

@@ -85,7 +85,14 @@ PlanPtr RenumberNode(const PlanPtr& plan, RenumberState* st) {
       exprs.reserve(project.exprs().size());
       for (const NamedExpr& e : project.exprs()) {
         ExprPtr expr = ApplyMap(st->map, e.expr);  // refs child ids: map first
-        exprs.push_back({st->Fresh(e.id), e.name, std::move(expr)});
+        // A passthrough (ColumnRef to its own id, as Select/ProjectPlus
+        // build) keeps the child's renumbered id. Minting a fresh one would
+        // turn it into a rename, which rules matching on shared ids (q95's
+        // distinct pushdown, then JoinOnKeys) no longer see through.
+        bool passthrough = e.expr->kind() == ExprKind::kColumnRef &&
+                           e.expr->column_id() == e.id;
+        ColumnId id = passthrough ? expr->column_id() : st->Fresh(e.id);
+        exprs.push_back({id, e.name, std::move(expr)});
       }
       out = std::make_shared<ProjectOp>(children[0], std::move(exprs));
       break;

@@ -5,10 +5,11 @@
 // 1). Before two submitted plans can be compared or fused, each must be
 // *renumbered* into one shared id space: RenumberPlan rebuilds a plan
 // bottom-up, minting a fresh id for every defined column from the target
-// context and rewriting all references, and returns the old->new ColumnMap
-// so callers can still name the original output columns. Renumbering is
-// semantics-preserving — PlanFingerprint (which canonicalizes ids away) is
-// unchanged by construction.
+// context and rewriting all references (a passthrough projection keeps its
+// child's id, as it did in the source plan), and returns the old->new
+// ColumnMap so callers can still name the original output columns.
+// Renumbering is semantics-preserving — PlanFingerprint (which
+// canonicalizes ids away) is unchanged by construction.
 //
 // PlanBundle holds N renumbered roots over one PlanContext: a multi-root
 // plan. It is the unit the server's admission window produces and the

@@ -2,9 +2,9 @@
 // subtree covering operator kinds and parameters, expressions, and the base
 // tables scanned — and *stable across ColumnId renumbering*. Two builds of
 // the same logical query in different PlanContexts (whose scans mint
-// different ids) fingerprint identically, so measured statistics harvested
-// from one execution can be matched to the same subtree in a later
-// optimization pass (the StatsFeedback overlay in src/cost).
+// different ids) fingerprint identically, so the cross-query server can
+// recognise identical submissions from different sessions and attribute
+// each session to the plan its group executed (DESIGN.md §12).
 //
 // Canonicalization: ColumnIds are rewritten to dense ordinals assigned in a
 // deterministic post-order walk of the subtree (scan/project/aggregate/...

@@ -10,7 +10,6 @@
 #include <utility>
 
 #include "analysis/semantic_verifier.h"
-#include "cost/cost_model.h"
 #include "fusion/fuse_across.h"
 #include "plan/plan_fingerprint.h"
 
@@ -92,10 +91,6 @@ SessionManager::SessionManager(ServerOptions options)
     mids_.execute_us = r->Histogram("fusiondb_server_execute_us");
     mids_.session_bytes =
         r->Histogram("fusiondb_server_session_bytes_scanned");
-    mids_.decisions_share =
-        r->Counter("fusiondb_cost_decisions_total{verdict=\"share\"}");
-    mids_.decisions_solo =
-        r->Counter("fusiondb_cost_decisions_total{verdict=\"solo\"}");
     mids_.slow_queries = r->Counter("fusiondb_server_slow_queries_total");
     mids_.telemetry_errors =
         r->Counter("fusiondb_server_telemetry_errors_total");
@@ -304,7 +299,7 @@ void SessionManager::ProcessBatch(const std::vector<SessionPtr>& sessions) {
     }
   }
 
-  // 3. Price and execute each group, routing results to their sessions.
+  // 3. Execute each group, routing results to their sessions.
   for (std::unique_ptr<Group>& group : groups) {
     ExecuteGroup(group.get(), &report);
   }
@@ -320,43 +315,10 @@ void SessionManager::ProcessBatch(const std::vector<SessionPtr>& sessions) {
 }
 
 void SessionManager::ExecuteGroup(Group* group, BatchReport* report) {
+  // Every fused group of two or more shares: its plan runs once for all
+  // members, and each consumer only restores its own rows from the output.
   size_t n = group->members.size();
-  bool share = n >= 2;
-  int32_t group_decisions = 0;
-  int32_t group_spooled = 0;
-
-  // Share-vs-solo pricing (cross-query CostDecision). The decision is
-  // recorded even when use_cost_model forces sharing, so traces always
-  // show what the economics were.
-  if (share) {
-    CardinalityEstimator estimator(options_.optimizer.feedback);
-    CostModel model(&estimator);
-    ShareDecision decision =
-        model.DecideShare(group->fuser.plan(), group->fuser.members());
-    if (!options_.use_cost_model) decision.share = true;
-    share = decision.share;
-
-    CostDecision record;
-    record.anchor = OptimizerTrace::DescribeNode(*group->fuser.plan());
-    record.fingerprint = PlanFingerprint(group->fuser.plan());
-    record.consumers = static_cast<int>(n);
-    record.reexec_cost_ns = decision.solo_cost;
-    record.spool_cost_ns = decision.shared_cost;
-    record.est_rows = decision.est_rows;
-    record.est_bytes = decision.est_bytes;
-    record.measured = decision.measured;
-    record.spooled = share;
-    record.cross_query = true;
-    if (ctx_.trace() != nullptr) ctx_.trace()->RecordCostDecision(record);
-    report->decisions.push_back(std::move(record));
-    group_decisions = 1;
-    group_spooled = share ? 1 : 0;
-    if (MetricsRegistry* r = options_.metrics) {
-      r->Add(share ? mids_.decisions_share : mids_.decisions_solo, 1);
-    }
-  }
-
-  if (share) {
+  if (n >= 2) {
     // One shared execution: each session's consumer applies its
     // compensating filter over the fused output and reads its original
     // output columns through renumber-then-fusion mappings. Output ids and
@@ -418,8 +380,7 @@ void SessionManager::ExecuteGroup(Group* group, BatchReport* report) {
       m.session->SetTiming(queue_wait_us, execute_us);
       m.session->Fulfill(std::move(result->results[i]), group->fuser.plan(),
                          sharing);
-      FinishSession(m.session, sharing, rows, queue_wait_us, execute_us,
-                    group_decisions, group_spooled);
+      FinishSession(m.session, sharing, rows, queue_wait_us, execute_us);
     }
     return;
   }
@@ -470,15 +431,13 @@ void SessionManager::ExecuteGroup(Group* group, BatchReport* report) {
     int64_t queue_wait_us = (exec_start_ns - m.session->submitted_ns()) / 1000;
     m.session->SetTiming(queue_wait_us, execute_us);
     m.session->Fulfill(std::move(result->results[0]), plan, sharing);
-    FinishSession(m.session, sharing, rows, queue_wait_us, execute_us,
-                  group_decisions, group_spooled);
+    FinishSession(m.session, sharing, rows, queue_wait_us, execute_us);
   }
 }
 
 void SessionManager::FinishSession(const SessionPtr& session,
                                    const SessionSharing& sharing, int64_t rows,
-                                   int64_t queue_wait_us, int64_t execute_us,
-                                   int32_t decisions, int32_t spooled) {
+                                   int64_t queue_wait_us, int64_t execute_us) {
   bool is_shared = sharing.consumers > 1;
   if (MetricsRegistry* r = options_.metrics) {
     r->Add(is_shared ? mids_.shared_sessions : mids_.solo_sessions, 1);
@@ -505,8 +464,6 @@ void SessionManager::FinishSession(const SessionPtr& session,
   event.shared_bytes_scanned = sharing.shared_bytes_scanned;
   event.isolated_bytes_scanned = sharing.isolated_bytes_scanned;
   event.rows_produced = rows;
-  event.cost_decisions = decisions;
-  event.cost_spooled = spooled;
 
   // Slow-query capture: anything whose end-to-end latency (queue + execute)
   // crosses the log's threshold gets its full profile written next to the

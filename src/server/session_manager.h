@@ -4,9 +4,8 @@
 // a small admission window, renumbers each plan into one shared id space,
 // optimizes it, and groups structurally compatible plans by fingerprint
 // signature. Each candidate group is folded through Fuse() across plans
-// (fusion/fuse_across.h); the cost model prices share-vs-solo per group
-// (cost_model.h ShareDecision, recorded as a cross-query CostDecision);
-// groups that share execute exactly once through the fan-out executor
+// (fusion/fuse_across.h); every group of two or more sessions executes
+// exactly once through the fan-out executor
 // (exec/fanout.h) with each session's rows restored by its compensating
 // filter/projection and routed back to the owning session.
 //
@@ -50,8 +49,8 @@ struct AdmissionWindow {
 struct ServerOptions {
   AdmissionWindow window;
 
-  /// Per-session optimization configuration (mode baseline/fused/spooling/
-  /// adaptive). Cross-query sharing is orthogonal to the within-plan mode:
+  /// Per-session optimization configuration (mode baseline/fused/
+  /// spooling). Cross-query sharing is orthogonal to the within-plan mode:
   /// plans are optimized first, then fused across sessions.
   OptimizerOptions optimizer;
 
@@ -62,12 +61,8 @@ struct ServerOptions {
   /// (the isolated baseline the benches compare against).
   bool enable_sharing = true;
 
-  /// Price share-vs-solo per candidate group. Off: every fusable group of
-  /// two or more sessions shares unconditionally.
-  bool use_cost_model = true;
-
   /// Optional trace (not owned; must outlive the manager). Receives the
-  /// per-session optimizer phases and the cross-query CostDecisions.
+  /// per-session optimizer phases and the cross-plan fusion attempts.
   OptimizerTrace* trace = nullptr;
 
   /// Optional service metrics registry (not owned; must outlive the
@@ -85,7 +80,7 @@ struct ServerOptions {
   QueryLog* query_log = nullptr;
 
   /// Label recorded as `mode` in query-log events ("baseline", "fused",
-  /// "spooling", "adaptive"). Informational only.
+  /// "spooling"). Informational only.
   std::string mode_label;
 };
 
@@ -110,7 +105,6 @@ struct BatchReport {
   size_t solo_sessions = 0;
   int64_t bytes_scanned = 0;           // physical, whole batch
   int64_t isolated_bytes_scanned = 0;  // estimated isolated equivalent
-  std::vector<CostDecision> decisions;  // cross_query == true
   std::vector<SessionAttribution> attributions;
 };
 
@@ -154,21 +148,19 @@ class SessionManager {
   struct Group;  // one cross-plan candidate group (session_manager.cc)
 
   /// Runs one admission batch end to end: renumber -> optimize -> group ->
-  /// price -> execute (fan-out or solo) -> fulfill sessions. Serialized by
+  /// execute (fan-out or solo) -> fulfill sessions. Serialized by
   /// batch_mu_; the master PlanContext is only touched here.
   void ProcessBatch(const std::vector<SessionPtr>& sessions);
 
-  /// Executes one group (shared when it has >= 2 members and won pricing,
-  /// otherwise each member solo) and fulfills its sessions.
+  /// Executes one group (shared when it has >= 2 members, otherwise solo)
+  /// and fulfills its sessions.
   void ExecuteGroup(Group* group, BatchReport* report);
 
   /// Post-fulfillment telemetry for one successfully executed session:
   /// latency histograms and sharing counters into the registry, one query
-  /// log event, and the slow-query profile capture. `decisions`/`spooled`
-  /// describe the group's cost verdicts.
+  /// log event, and the slow-query profile capture.
   void FinishSession(const SessionPtr& session, const SessionSharing& sharing,
-                     int64_t rows, int64_t queue_wait_us, int64_t execute_us,
-                     int32_t decisions, int32_t spooled);
+                     int64_t rows, int64_t queue_wait_us, int64_t execute_us);
 
   void CoordinatorLoop();
   void EnsureCoordinatorLocked();
@@ -185,7 +177,6 @@ class SessionManager {
     MetricId batch_sessions;              // histogram: admission occupancy
     MetricId queue_wait_us, execute_us;   // histograms, microseconds
     MetricId session_bytes;               // histogram: attributed bytes
-    MetricId decisions_share, decisions_solo;
     MetricId slow_queries, telemetry_errors;
   };
   ServerMetricIds mids_;

@@ -3,8 +3,7 @@
 // and monotonicity checkers, and the SemanticVerifier's translation
 // validation — every [semantic-*] tag has a hand-built plan that trips it
 // and a minimally different one that passes. Also covers the consumers:
-// JoinOnKeys firing from derived keys and the key-aware cardinality
-// estimate.
+// JoinOnKeys firing from derived keys.
 #include <gtest/gtest.h>
 
 #include "test_util.h"
@@ -438,34 +437,10 @@ TEST(JoinOnKeysDerivedTest, CollapsesPrimaryKeySelfJoin) {
   EXPECT_TRUE(ResultsEquivalent(baseline, MustExecute(optimized)));
 }
 
-TEST(CardinalityDerivedTest, KeyedGroupByEstimatesInputCardinality) {
-  PlanContext ctx;
-  TablePtr item = Unwrap(SharedTpcds().GetTable("item"));
-  double n = static_cast<double>(item->num_rows());
-
-  PlanBuilder keyed = Items(&ctx);
-  keyed.Aggregate({"i_item_sk"},
-                  {{"s", AggFunc::kSum, keyed.Ref("i_brand_id"), nullptr,
-                    false}});
-  CardinalityEstimator estimator;
-  EXPECT_DOUBLE_EQ(estimator.Estimate(keyed.Build()).rows, n)
-      << "grouping by a key: distinct count == input cardinality";
-
-  PlanBuilder unkeyed = Items(&ctx);
-  unkeyed.Aggregate({"i_brand_id"},
-                    {{"s", AggFunc::kSum, unkeyed.Ref("i_item_sk"), nullptr,
-                      false}});
-  CardEstimate estimate = estimator.Estimate(unkeyed.Build());
-  EXPECT_GE(estimate.rows, 1.0);
-  EXPECT_LT(estimate.rows, n / 2)
-      << "non-key grouping keeps the sqrt prior";
-}
-
 // --- end to end: every TPC-DS query under every mode, semantics on ----------
 
 TEST(SemanticSweepTest, AllQueriesAllModesVerify) {
   const Catalog& catalog = SharedTpcds();
-  StatsFeedback feedback;
   struct ModeCase {
     const char* name;
     OptimizerOptions options;
@@ -474,7 +449,6 @@ TEST(SemanticSweepTest, AllQueriesAllModesVerify) {
       {"baseline", OptimizerOptions::Baseline()},
       {"fused", OptimizerOptions::Fused()},
       {"spooling", OptimizerOptions::Spooling()},
-      {"adaptive", OptimizerOptions::Adaptive(&feedback)},
   };
   for (const tpcds::TpcdsQuery& q : tpcds::Queries()) {
     for (const ModeCase& mode : modes) {

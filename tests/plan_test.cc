@@ -1,5 +1,6 @@
 // Logical plan construction: PlanBuilder, schema propagation,
-// CloneWithChildren, the plan printer and structural helpers.
+// CloneWithChildren, renumbering into another id space, plan fingerprints,
+// the plan printer and structural helpers.
 #include <gtest/gtest.h>
 
 #include "test_util.h"
@@ -48,6 +49,33 @@ TEST(PlanBuilderTest, SelectKeepsIds) {
   b.Select({"i_item_sk"});
   EXPECT_EQ(b.schema().num_columns(), 1u);
   EXPECT_EQ(b.schema().column(0).id, sk);
+}
+
+TEST(PlanTest, RenumberKeepsPassthroughProjections) {
+  // Select builds a passthrough projection: its output keeps the child's id.
+  // Renumbering into another context must keep that shape, or the
+  // projection becomes a rename and rules that match on shared ids stop
+  // seeing through it.
+  PlanContext source;
+  PlanBuilder b = ScanItems(&source);
+  b.Select({"i_item_sk"});
+  PlanBuilder renamed = b;
+  renamed.Project({{"sk_copy", renamed.Ref("i_item_sk")}});
+
+  PlanContext target;
+  ScanItems(&target);  // shift target's id counter
+  RenumberedPlan select = RenumberPlan(b.Build(), &target);
+  const auto& project = Cast<ProjectOp>(*select.plan);
+  ColumnId child_id = project.child(0)->schema().column(0).id;
+  EXPECT_EQ(project.exprs()[0].id, child_id);
+  EXPECT_EQ(project.exprs()[0].expr->column_id(), child_id);
+  EXPECT_EQ(ApplyMap(select.mapping, b.Col("i_item_sk").id), child_id);
+  EXPECT_EQ(PlanFingerprint(select.plan), PlanFingerprint(b.Build()));
+
+  // A real rename still mints a fresh id.
+  RenumberedPlan rename = RenumberPlan(renamed.Build(), &target);
+  const auto& outer = Cast<ProjectOp>(*rename.plan);
+  EXPECT_NE(outer.exprs()[0].id, outer.child(0)->schema().column(0).id);
 }
 
 TEST(PlanBuilderTest, JoinSchemasByType) {
@@ -170,6 +198,82 @@ TEST(PlanTest, ApplySchemaAppendsScalar) {
   EXPECT_EQ(outer.schema().column(3).name, "avg_b");
   const auto& apply = Cast<ApplyOp>(*outer.Build());
   EXPECT_EQ(apply.correlation().size(), 1u);
+}
+
+// --- plan fingerprints -----------------------------------------------------
+
+PlanBuilder Sales(PlanContext* ctx) {
+  TablePtr ss = Unwrap(SharedTpcds().GetTable("store_sales"));
+  return PlanBuilder::Scan(
+      ctx, ss, {"ss_store_sk", "ss_item_sk", "ss_quantity", "ss_list_price"});
+}
+
+/// The duplicated-CTE fixture: filter + grouped aggregate over store_sales.
+PlanBuilder SalesCte(PlanContext* ctx) {
+  PlanBuilder b = Sales(ctx);
+  b.Filter(eb::Gt(b.Ref("ss_quantity"), eb::Int(50)));
+  b.Aggregate({"ss_store_sk"},
+              {{"t", AggFunc::kSum, b.Ref("ss_list_price"), nullptr, false}});
+  return b;
+}
+
+/// Two instances of the CTE cross-joined: the same logical subtree twice.
+PlanPtr DuplicatedCtePlan(PlanContext* ctx) {
+  PlanBuilder a = SalesCte(ctx);
+  PlanBuilder b = SalesCte(ctx);
+  a.CrossJoin(b);
+  return a.Build();
+}
+
+TEST(PlanFingerprintTest, DeterministicAcrossIdRenumbering) {
+  // The same logical query built in two contexts mints disjoint ColumnId
+  // ranges (the second context also burns extra ids first); fingerprints
+  // must agree anyway, else the server could never recognise the same
+  // query submitted by two sessions.
+  PlanContext ctx1;
+  PlanPtr p1 = DuplicatedCtePlan(&ctx1);
+  PlanContext ctx2;
+  Sales(&ctx2).Build();  // shift ctx2's id counter
+  PlanPtr p2 = DuplicatedCtePlan(&ctx2);
+  EXPECT_NE(p1->schema().column(0).id, p2->schema().column(0).id)
+      << "fixture should renumber ids, or the test proves nothing";
+  EXPECT_EQ(PlanCanonicalString(p1), PlanCanonicalString(p2));
+  EXPECT_EQ(PlanFingerprint(p1), PlanFingerprint(p2));
+}
+
+TEST(PlanFingerprintTest, SensitiveToPlanChanges) {
+  PlanContext ctx;
+  uint64_t base = PlanFingerprint(SalesCte(&ctx).Build());
+
+  // Different filter constant.
+  PlanBuilder c1 = Sales(&ctx);
+  c1.Filter(eb::Gt(c1.Ref("ss_quantity"), eb::Int(51)));
+  c1.Aggregate({"ss_store_sk"},
+               {{"t", AggFunc::kSum, c1.Ref("ss_list_price"), nullptr, false}});
+  EXPECT_NE(PlanFingerprint(c1.Build()), base);
+
+  // Different aggregate function.
+  PlanBuilder c2 = Sales(&ctx);
+  c2.Filter(eb::Gt(c2.Ref("ss_quantity"), eb::Int(50)));
+  c2.Aggregate({"ss_store_sk"},
+               {{"t", AggFunc::kMin, c2.Ref("ss_list_price"), nullptr, false}});
+  EXPECT_NE(PlanFingerprint(c2.Build()), base);
+
+  // Missing operator (no filter).
+  PlanBuilder c3 = Sales(&ctx);
+  c3.Aggregate({"ss_store_sk"},
+               {{"t", AggFunc::kSum, c3.Ref("ss_list_price"), nullptr, false}});
+  EXPECT_NE(PlanFingerprint(c3.Build()), base);
+
+  // Same operator census over a different base table.
+  TablePtr ws = Unwrap(SharedTpcds().GetTable("web_sales"));
+  PlanBuilder c4 = PlanBuilder::Scan(
+      &ctx, ws, {"ws_warehouse_sk", "ws_item_sk", "ws_quantity",
+                 "ws_list_price"});
+  c4.Filter(eb::Gt(c4.Ref("ws_quantity"), eb::Int(50)));
+  c4.Aggregate({"ws_warehouse_sk"},
+               {{"t", AggFunc::kSum, c4.Ref("ws_list_price"), nullptr, false}});
+  EXPECT_NE(PlanFingerprint(c4.Build()), base);
 }
 
 }  // namespace

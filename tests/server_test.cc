@@ -56,7 +56,6 @@ const std::vector<const tpcds::TpcdsQuery*>& FusionQueries() {
 OptimizerOptions ModeOptions(const std::string& mode) {
   if (mode == "baseline") return OptimizerOptions::Baseline();
   if (mode == "spooling") return OptimizerOptions::Spooling();
-  if (mode == "adaptive") return OptimizerOptions::Adaptive(nullptr);
   return OptimizerOptions::Fused();
 }
 
@@ -81,8 +80,7 @@ TEST(ServerTest, ByteIdenticalToIsolatedAcrossModes) {
   Engine engine(SharedTpcds());
   const tpcds::TpcdsQuery& query = *FusionQueries().front();
   constexpr int kClients = 4;
-  for (const std::string mode :
-       {"baseline", "fused", "spooling", "adaptive"}) {
+  for (const std::string mode : {"baseline", "fused", "spooling"}) {
     SCOPED_TRACE(mode);
     ServerOptions options;
     options.optimizer = ModeOptions(mode);
@@ -155,12 +153,6 @@ TEST(ServerTest, SharedGroupScansFewerBytesThanIsolated) {
     attributed += a.attributed_bytes_scanned;
   }
   EXPECT_EQ(attributed, report.bytes_scanned);
-
-  // The share-vs-solo pricing was recorded as a cross-query decision.
-  ASSERT_EQ(report.decisions.size(), 1u);
-  EXPECT_TRUE(report.decisions[0].cross_query);
-  EXPECT_TRUE(report.decisions[0].spooled);  // spooled == shared
-  EXPECT_EQ(report.decisions[0].consumers, kClients);
 
   // Session-level sharing attribution matches, and the profile carries it.
   for (const SessionPtr& s : sessions) {
@@ -306,28 +298,48 @@ TEST(ServerTest, ConcurrentSubmissionIsCorrect) {
   }
 }
 
-// Cross-query decisions land in the caller-provided optimizer trace.
-TEST(ServerTest, TraceRecordsCrossQueryDecisions) {
+// q95's Section V.D unification (distinct pushdown, then JoinOnKeys over
+// the web_sales self-join) must survive renumbering into the server's id
+// space: the server then scans exactly what the isolated fused run scans,
+// once per shared group.
+TEST(ServerTest, Q95ScansSameBytesAsIsolatedFused) {
   Engine engine(SharedTpcds());
-  const tpcds::TpcdsQuery& query = *FusionQueries().front();
+  tpcds::TpcdsQuery q95 = Unwrap(tpcds::QueryByName("q95"));
+  QueryResult isolated =
+      IsolatedRun(&engine, q95.build, OptimizerOptions::Fused());
+  for (int n : {1, 4}) {
+    SCOPED_TRACE(n);
+    SessionManager& manager = *Unwrap(engine.StartServer());
+    std::vector<PreparedQuery> prepared;
+    for (const SessionPtr& s :
+         manager.SubmitBatch(PreparePlans(&engine, q95.build, n, &prepared))) {
+      ASSERT_TRUE(s->Wait().ok()) << s->Wait().status().ToString();
+      ExpectIdentical(*s->Wait(), isolated);
+    }
+    EXPECT_EQ(manager.last_batch_report().bytes_scanned,
+              isolated.metrics().bytes_scanned);
+    engine.StopServer();
+  }
+}
+
+// The caller-provided optimizer trace records the sessions' rewrites.
+TEST(ServerTest, TraceRecordsSessionRewrites) {
+  Engine engine(SharedTpcds());
+  tpcds::TpcdsQuery q95 = Unwrap(tpcds::QueryByName("q95"));
   OptimizerTrace trace;
   ServerOptions options;
   options.trace = &trace;
   SessionManager& manager = *Unwrap(engine.StartServer(options));
   std::vector<PreparedQuery> prepared;
-  for (const SessionPtr& s : manager.SubmitBatch(
-           PreparePlans(&engine, query.build, 2, &prepared))) {
+  for (const SessionPtr& s :
+       manager.SubmitBatch(PreparePlans(&engine, q95.build, 2, &prepared))) {
     ASSERT_TRUE(s->Wait().ok());
   }
-  bool found = false;
-  for (const CostDecision& d : trace.cost_decisions()) {
-    if (d.cross_query) {
-      found = true;
-      EXPECT_EQ(d.consumers, 2);
-    }
+  bool join_on_keys = false;
+  for (const RuleFiring& f : trace.firings()) {
+    join_on_keys |= f.rule == "JoinOnKeys";
   }
-  EXPECT_TRUE(found);
-  EXPECT_NE(trace.ToString().find("[cross-query]"), std::string::npos);
+  EXPECT_TRUE(join_on_keys) << trace.ToString();
   engine.StopServer();
 }
 

@@ -82,6 +82,27 @@ TEST(SpoolRuleTest, DetectsDuplicatedSubtrees) {
   EXPECT_LT(after.metrics().bytes_scanned, before.metrics().bytes_scanned);
 }
 
+TEST(SpoolRuleTest, SpoolingModeSpoolsEverySmallDuplicate) {
+  // Spooling mode shares every identical duplicate, however few rows it
+  // produces.
+  PlanContext ctx;
+  auto make_cte = [&]() {
+    PlanBuilder b = Sales(&ctx);
+    b.Filter(eb::Gt(b.Ref("ss_quantity"), eb::Int(99)));
+    b.Aggregate({"ss_store_sk"},
+                {{"t", AggFunc::kSum, b.Ref("ss_list_price"), nullptr,
+                  false}});
+    return b;
+  };
+  PlanBuilder a = make_cte();
+  a.CrossJoin(make_cte());
+  PlanPtr plan = a.Build();
+  PlanPtr spooled = Unwrap(
+      Optimizer(OptimizerOptions::Spooling()).Optimize(plan, &ctx));
+  EXPECT_EQ(CountOps(spooled, OpKind::kSpool), 2) << PlanToString(spooled);
+  EXPECT_TRUE(ResultsEquivalent(MustExecute(plan), MustExecute(spooled)));
+}
+
 TEST(SpoolRuleTest, DifferentSubtreesUntouched) {
   PlanContext ctx;
   PlanBuilder a = Sales(&ctx);

@@ -3,7 +3,7 @@
 //
 // Every query — replayed from tests/sql_fuzz_corpus.txt, then generated by
 // sql/random_query.h from a fixed seed — is bound once and then executed
-// under all four optimizer modes (baseline / fused / spooling / adaptive),
+// under all three optimizer modes (baseline / fused / spooling),
 // each both through the compiled pipelines and the interpreted pull
 // executor. The oracle is mutual agreement:
 //
@@ -112,16 +112,11 @@ std::optional<std::string> RunDifferential(const std::string& sql_text) {
   if (!prepared.ok()) return "bind error: " + parse.FormatErrors();
   PreparedQuery query = std::move(prepared).ValueOrDie();
 
-  static const char* kModes[] = {"baseline", "fused", "spooling", "adaptive"};
+  static const char* kModes[] = {"baseline", "fused", "spooling"};
   std::vector<std::string> baseline_rows;
   int64_t baseline_bytes = 0;
   for (const char* mode : kModes) {
     QueryOptions options = Unwrap(QueryOptions::FromModeName(mode));
-    if (options.optimizer.feedback == nullptr) {
-      // Single-pass adaptive against whatever earlier modes harvested; the
-      // engine's two-pass loop is exercised separately in sql_test.
-      options.optimizer.feedback = engine.feedback();
-    }
     auto optimized = engine.Optimize(&query, options);
     if (!optimized.ok()) {
       return std::string("optimize failed (") + mode +
@@ -157,10 +152,6 @@ std::optional<std::string> RunDifferential(const std::string& sql_text) {
     if (std::string(mode) == "baseline") {
       baseline_rows = std::move(rows_compiled);
       baseline_bytes = bytes;
-      // Feed the measured cardinalities forward so this query's adaptive
-      // pass optimizes against real numbers, not just catalog priors.
-      engine.feedback()->Harvest(*optimized,
-                                 compiled_result->operator_stats());
     } else {
       if (rows_compiled != baseline_rows) {
         return std::string("cross-mode divergence (baseline vs ") + mode +
