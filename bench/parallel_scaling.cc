@@ -1,10 +1,15 @@
-// Morsel-driven parallel execution: latency of every fusion-applicable
-// TPC-DS query (baseline and fused plans) swept over thread counts, plus a
-// correctness sweep asserting results and bytes_scanned are thread-count
-// invariant. The interesting shape: scans and aggregation builds dominate
-// these queries, so latency should drop near-linearly until the thread
-// count exceeds either the physical cores or the partition count of the
-// largest scanned table.
+// Morsel-driven parallel execution: for every fusion-applicable TPC-DS
+// query (baseline and fused plans), the median wall-clock latency of three
+// runs at each thread count of the sweep (1, 2, 4, ...), and the speed-up of
+// the widest run over the serial one. Before timing, each plan runs at
+// every thread count and the binary exits 1 if results, bytes scanned or
+// rows scanned differ from the serial run.
+//
+// What parallelism covers: scans, filters, projections and aggregation
+// (per-worker partial tables merged afterwards). A hash join builds and
+// probes on the calling thread, so queries whose time goes to joins gain
+// little or nothing from more threads; aggregation-bound queries (q09, q28)
+// are the ones that speed up. EXPERIMENTS.md records measured runs.
 //
 // Usage: parallel_scaling [max_threads]     (default: up to 8, capped at
 // 2x hardware_concurrency; FUSIONDB_BENCH_SCALE scales the data)
@@ -102,10 +107,10 @@ int main(int argc, char** argv) {
     }
   }
   std::printf(
-      "\nspeedup = 1-thread latency / %zu-thread latency. Expect ~linear "
-      "scaling up to the core count on scan/aggregation-bound queries; a "
-      "single-core host shows ~1.0x (the sweep then only checks "
-      "thread-count invariance).\n",
+      "\nEach cell is the median wall-clock latency of 3 runs; speedup = "
+      "1-thread latency / %zu-thread latency. Scans and aggregation run on "
+      "the workers; hash joins build and probe on the calling thread, so "
+      "join-bound queries may show no speed-up, or a slowdown.\n",
       sweep.back());
   report.Write();
   return all_ok ? 0 : 1;

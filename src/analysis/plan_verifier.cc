@@ -551,10 +551,13 @@ class VerifierImpl {
       case OpKind::kApply:
         destroyed = true;
         break;
-      default:
-        // Filter, Project, Spool, EnforceSingleRow, MarkDistinct and Window
-        // pass rows through in input order.
-        break;
+      case OpKind::kFilter:
+      case OpKind::kProject:
+      case OpKind::kSpool:
+      case OpKind::kEnforceSingleRow:
+      case OpKind::kMarkDistinct:
+      case OpKind::kWindow:
+        break;  // pass rows through in input order
     }
     for (const PlanPtr& c : op->children()) {
       FUSIONDB_RETURN_IF_ERROR(WalkLimitOrdering(c, destroyed));

@@ -1,6 +1,6 @@
 #include "exec/agg_build.h"
 
-#include "exec/row_key.h"
+#include "exec/thread_pool.h"
 #include "expr/simplifier.h"
 
 namespace fusiondb::internal {
@@ -11,17 +11,19 @@ std::vector<SelVector> MaskSet::Evaluate(const Chunk& chunk) const {
   for (const BoundExpr& c : conjuncts) {
     conjunct_sels.push_back(c.EvalFilter(chunk));
   }
+  return Combine(conjunct_sels, chunk.num_rows());
+}
+
+std::vector<SelVector> MaskSet::Combine(
+    const std::vector<SelVector>& conjunct_sels, size_t rows) const {
   std::vector<SelVector> sels;
   sels.reserve(mask_slots.size());
   for (const std::vector<int>& slots : mask_slots) {
-    SelVector sel;
-    bool first = true;
-    for (int s : slots) {
-      sel = first ? conjunct_sels[s]
-                  : SelVector::Intersect(sel, conjunct_sels[s]);
-      first = false;
+    SelVector sel = slots.empty() ? SelVector::Dense(rows)
+                                  : conjunct_sels[slots[0]];
+    for (size_t i = 1; i < slots.size(); ++i) {
+      sel = SelVector::Intersect(sel, conjunct_sels[slots[i]]);
     }
-    if (first) sel = SelVector::Dense(chunk.num_rows());
     sels.push_back(std::move(sel));
   }
   return sels;
@@ -88,26 +90,39 @@ Result<BoundAggs> BindAggs(const std::vector<AggregateItem>& items,
   return out;
 }
 
-void AccumulateView(const AggInputView& view, const std::vector<BoundAgg>& aggs,
-                    GroupMap* groups, std::string* key) {
-  size_t rows = view.rows;
-  if (rows == 0) return;
-  // Pass 1: resolve each row's group once. The map is node-based, so entry
-  // pointers stay stable across later inserts.
-  std::vector<GroupEntry*> row_groups(rows);
-  for (size_t r = 0; r < rows; ++r) {
-    RowKeyEncoder::Encode(view.group_cols, r, key);
-    auto [it, inserted] = groups->try_emplace(*key);
-    GroupEntry& entry = it->second;
-    if (inserted) {
-      entry.states.resize(aggs.size());
-      entry.representative.reserve(view.group_cols.size());
-      for (const Column* g : view.group_cols) {
-        entry.representative.push_back(g->GetValue(r));
-      }
+AggInputView ChunkView(const Chunk& in, const std::vector<int>& group_indexes,
+                       const std::vector<BoundAgg>& aggs, const MaskSet& masks,
+                       std::vector<Column>* expr_args) {
+  AggInputView view;
+  view.rows = in.num_rows();
+  view.group_cols = KeyColumns(in, group_indexes);
+  view.masks = masks.Evaluate(in);
+  expr_args->assign(aggs.size(), Column());
+  view.arg_cols.resize(aggs.size(), nullptr);
+  for (size_t a = 0; a < aggs.size(); ++a) {
+    const BoundAgg& agg = aggs[a];
+    if (agg.arg_column >= 0) {
+      view.arg_cols[a] = &in.columns[agg.arg_column];
+    } else if (agg.arg.has_value()) {
+      (*expr_args)[a] = agg.arg->EvalAll(in);
+      view.arg_cols[a] = &(*expr_args)[a];
     }
-    row_groups[r] = &entry;
   }
+  return view;
+}
+
+std::vector<uint32_t> AccumulateView(const AggInputView& view,
+                                     const std::vector<BoundAgg>& aggs,
+                                     AggGroups* groups) {
+  size_t rows = view.rows;
+  // Pass 1: resolve each row's group id once.
+  std::vector<uint32_t> row_ids(rows);
+  for (size_t r = 0; r < rows; ++r) {
+    KeyedHashTable::Insertion ins = groups->keys.Insert(view.group_cols, r);
+    if (ins.inserted) groups->AddEntry(aggs.size());
+    row_ids[r] = ins.id;
+  }
+  std::vector<GroupEntry>& entries = groups->entries;
   // Pass 2: per aggregate, one walk over its mask's surviving rows. Each
   // (group, aggregate) state still sees its rows in ascending order, so
   // floating-point sums accumulate in exactly the row-at-a-time order.
@@ -122,54 +137,69 @@ void AccumulateView(const AggInputView& view, const std::vector<BoundAgg>& aggs,
     const Column* col = view.arg_cols[a];
     if (col != nullptr) {
       for (uint32_t r : sel) {
-        row_groups[r]->states[a].AccumulateColumnRow(*agg.item, *col, r);
+        entries[row_ids[r]].states[a].AccumulateColumnRow(*agg.item, *col, r);
       }
     } else {
       // COUNT(*): no argument to read.
-      for (uint32_t r : sel) {
-        row_groups[r]->states[a].AccumulateRow(*agg.item, Value::Bool(true));
-      }
+      for (uint32_t r : sel) ++entries[row_ids[r]].states[a].mask_rows;
     }
   }
+  return row_ids;
 }
 
-void MergePartialGroups(const std::vector<BoundAgg>& aggs,
-                        std::vector<GroupMap>* partials, GroupMap* merged) {
-  for (GroupMap& pm : *partials) {
-    for (auto& [k, entry] : pm) {
-      auto [it, inserted] = merged->try_emplace(k);
-      if (inserted) {
-        it->second = std::move(entry);
-      } else {
-        GroupEntry& dst = it->second;
-        for (size_t a = 0; a < aggs.size(); ++a) {
-          dst.states[a].Merge(*aggs[a].item, std::move(entry.states[a]));
+Status AccumulatePartials(
+    ExecContext* ctx, size_t morsels, const std::vector<BoundAgg>& aggs,
+    const std::function<void(size_t, AggGroups*)>& accumulate,
+    AggGroups* groups) {
+  ThreadPool* pool = ctx->pool();
+  size_t workers = pool->num_workers();
+  std::vector<AggGroups> partials(workers);
+  ParallelRegion region(ctx);
+  FUSIONDB_RETURN_IF_ERROR(pool->ParallelFor(
+      workers, [&](size_t /*worker*/, size_t w) -> Status {
+        // `w` is the partial's index; each is claimed exactly once, so the
+        // partial table is touched by a single thread.
+        for (size_t i = w; i < morsels; i += workers) {
+          accumulate(i, &partials[w]);
         }
+        return Status::OK();
+      }));
+  for (AggGroups& part : partials) {
+    for (uint32_t id = 0; id < part.keys.size(); ++id) {
+      GroupEntry& src = part.entries[id];
+      KeyedHashTable::Insertion ins = groups->keys.InsertKey(part.keys.Key(id));
+      if (ins.inserted) {
+        groups->entries.push_back(std::move(src));
+        continue;
+      }
+      GroupEntry& dst = groups->entries[ins.id];
+      for (size_t a = 0; a < aggs.size(); ++a) {
+        dst.states[a].Merge(*aggs[a].item, std::move(src.states[a]));
       }
     }
   }
+  return Status::OK();
 }
 
-int64_t GroupMapBytes(const GroupMap& groups) {
-  int64_t bytes = 0;
-  for (const auto& [k, entry] : groups) {
-    bytes += 48 + static_cast<int64_t>(k.size());
+int64_t AggGroups::ByteSize() const {
+  int64_t bytes = keys.ByteSize() +
+                  static_cast<int64_t>(entries.capacity() * sizeof(GroupEntry));
+  for (const GroupEntry& entry : entries) {
     for (const AggState& s : entry.states) bytes += AggStateBytes(s);
   }
   return bytes;
 }
 
-Chunk FinalizeGroups(GroupMap* groups, const std::vector<BoundAgg>& aggs,
+Chunk FinalizeGroups(AggGroups* groups, const std::vector<BoundAgg>& aggs,
                      const std::vector<DataType>& output_types,
                      size_t group_width) {
   Chunk out = Chunk::Empty(output_types);
-  for (auto& [k, entry] : *groups) {
-    for (size_t g = 0; g < group_width; ++g) {
-      out.columns[g].AppendValue(entry.representative[g]);
-    }
-    for (size_t a = 0; a < entry.states.size(); ++a) {
-      out.columns[group_width + a].AppendValue(
-          entry.states[a].Finalize(*aggs[a].item));
+  for (uint32_t id = 0; id < groups->keys.size(); ++id) {
+    groups->keys.AppendKey(id, group_width, &out.columns);
+    std::vector<AggState>& states = groups->entries[id].states;
+    for (size_t a = 0; a < states.size(); ++a) {
+      Value v = states[a].Finalize(*aggs[a].item);
+      out.columns[group_width + a].AppendValue(v);
     }
   }
   return out;

@@ -3,18 +3,19 @@
 // merge / finalize steps. AggregateExec (the pull operator) and the
 // compiled-pipeline aggregate sink (exec/pipeline.h) both build on this, so
 // the two execution paths share one accumulation discipline — identical
-// group insertion order, identical per-(group, aggregate) row order, and
+// group id order, identical per-(group, aggregate) row order, and
 // identical memory accounting — which is what makes their outputs
 // byte-identical (DESIGN.md §13).
 #ifndef FUSIONDB_EXEC_AGG_BUILD_H_
 #define FUSIONDB_EXEC_AGG_BUILD_H_
 
+#include <functional>
 #include <optional>
-#include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "exec/agg_state.h"
+#include "exec/exec_context.h"
+#include "exec/keyed_table.h"
 #include "expr/evaluator.h"
 #include "plan/logical_plan.h"
 
@@ -46,6 +47,10 @@ struct MaskSet {
   /// Evaluates all masks over a chunk: one selection vector per mask, each
   /// the intersection of its conjuncts' surviving rows.
   std::vector<SelVector> Evaluate(const Chunk& chunk) const;
+  /// The per-mask intersections of per-conjunct selections over `rows`
+  /// rows; a mask without conjuncts selects every row.
+  std::vector<SelVector> Combine(const std::vector<SelVector>& conjunct_sels,
+                                 size_t rows) const;
 };
 
 struct BoundAggs {
@@ -56,13 +61,31 @@ struct BoundAggs {
 Result<BoundAggs> BindAggs(const std::vector<AggregateItem>& items,
                            const Schema& input);
 
-/// Per-group state plus one boxed copy of the grouping values (boxed once
-/// per group, not per row — rows key on the serialized form).
+/// Per-group aggregate states, one per BoundAgg.
 struct GroupEntry {
-  std::vector<Value> representative;
   std::vector<AggState> states;
 };
-using GroupMap = std::unordered_map<std::string, GroupEntry>;
+
+/// The groups of one aggregation: the key table maps each row's grouping
+/// values to a dense id (first-seen order), and `entries` holds each id's
+/// states. The grouping values themselves are decoded from the key bytes
+/// when the groups are finalized.
+struct AggGroups {
+  KeyedHashTable keys;
+  std::vector<GroupEntry> entries;  // indexed by key id
+
+  void AddEntry(size_t num_aggs) {
+    entries.emplace_back().states.resize(num_aggs);
+  }
+  /// A scalar aggregate's one group (the empty key), which emits a row even
+  /// over empty input.
+  void SeedScalar(size_t num_aggs) {
+    if (keys.InsertKey({}).inserted) AddEntry(num_aggs);
+  }
+  /// Memory-metric charge: the key table's ByteSize(), the entry vector,
+  /// and each state's AggStateBytes.
+  int64_t ByteSize() const;
+};
 
 /// Column-level view of one morsel's aggregate input. The pull operator
 /// points it at its input chunk's columns; the compiled pipeline points it
@@ -77,29 +100,37 @@ struct AggInputView {
   std::vector<SelVector> masks;
 };
 
-/// Accumulates every row of `view` into `groups` (one hash table — the
-/// query's for the serial path, a worker-private partial for the parallel
-/// path). `key` is the reusable row-key buffer. Two passes: pass 1 resolves
-/// each row's group in row order (fixing group-map insertion order); pass 2
-/// walks each aggregate's mask selection ascending, so every (group,
-/// aggregate) state sees its rows in exactly the row-at-a-time order —
-/// floating-point sums accumulate deterministically.
-void AccumulateView(const AggInputView& view, const std::vector<BoundAgg>& aggs,
-                    GroupMap* groups, std::string* key);
+/// View over a materialized chunk: the group columns `group_indexes`,
+/// bare-column arguments read in place, expression arguments evaluated once
+/// into `*expr_args` (which must outlive the view), and every mask of
+/// `masks` evaluated over the chunk.
+AggInputView ChunkView(const Chunk& in, const std::vector<int>& group_indexes,
+                       const std::vector<BoundAgg>& aggs, const MaskSet& masks,
+                       std::vector<Column>* expr_args);
 
-/// Folds worker-private partials into `merged` in partial order (partial 0
-/// first), via AggState::Merge for groups present in several partials.
-/// Deterministic for a fixed worker count.
-void MergePartialGroups(const std::vector<BoundAgg>& aggs,
-                        std::vector<GroupMap>* partials, GroupMap* merged);
+/// Accumulates every row of `view` into `groups` and returns each row's
+/// group id. Two passes: pass 1 resolves each row's group id in row order
+/// (fixing the order in which ids are assigned); pass 2 walks each
+/// aggregate's mask selection ascending, so every (group, aggregate) state
+/// sees its rows in exactly the row-at-a-time order — floating-point sums
+/// accumulate deterministically.
+std::vector<uint32_t> AccumulateView(const AggInputView& view,
+                                     const std::vector<BoundAgg>& aggs,
+                                     AggGroups* groups);
 
-/// Hash-table footprint for the memory metric: ~48 bytes map overhead plus
-/// key bytes per entry, plus each state's AggStateBytes.
-int64_t GroupMapBytes(const GroupMap& groups);
+/// The parallel build: `accumulate(i, partial)` adds morsel i (of
+/// `morsels`) to worker-private partial i mod W, in one region of the
+/// context's pool; the partials then fold into `groups` in partial order
+/// (partial 0 first, each in id order), via AggState::Merge for groups
+/// present in several. Deterministic for a fixed worker count.
+Status AccumulatePartials(
+    ExecContext* ctx, size_t morsels, const std::vector<BoundAgg>& aggs,
+    const std::function<void(size_t, AggGroups*)>& accumulate,
+    AggGroups* groups);
 
-/// Emits one row per group in map iteration order: grouping representative
-/// values first, then each aggregate's finalized value.
-Chunk FinalizeGroups(GroupMap* groups, const std::vector<BoundAgg>& aggs,
+/// Emits one row per group in id order: grouping values first, then each
+/// aggregate's finalized value.
+Chunk FinalizeGroups(AggGroups* groups, const std::vector<BoundAgg>& aggs,
                      const std::vector<DataType>& output_types,
                      size_t group_width);
 

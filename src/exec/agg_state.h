@@ -28,17 +28,6 @@ struct AggState {
   Value minmax;
   std::unordered_set<Value, ValueHashFn> distinct;
 
-  void AccumulateRow(const AggregateItem& item, const Value& arg_value) {
-    ++mask_rows;
-    if (item.func == AggFunc::kCountStar) return;
-    if (arg_value.is_null()) return;
-    if (item.distinct) {
-      distinct.insert(arg_value);
-      return;
-    }
-    AccumulateNonDistinct(item.func, arg_value);
-  }
-
   /// Accumulates straight from a column, avoiding Value boxing for the
   /// numeric non-distinct cases (the hot path after mask deduplication).
   void AccumulateColumnRow(const AggregateItem& item, const Column& col,

@@ -1,15 +1,14 @@
 // Hash aggregation (with per-aggregate masks and DISTINCT), partitioned
 // window aggregation, and MarkDistinct. The binding and accumulation core
-// (BoundAgg/MaskSet/BindAggs, GroupMap, AccumulateView, merge/finalize) is
+// (BoundAgg/MaskSet/BindAggs, AggGroups, AccumulateView, merge/finalize) is
 // shared with the compiled-pipeline aggregate sink — see exec/agg_build.h.
+// All three key their rows through exec/keyed_table.h.
 #include <optional>
-#include <unordered_map>
-#include <unordered_set>
 
 #include "exec/agg_build.h"
 #include "exec/agg_state.h"
+#include "exec/keyed_table.h"
 #include "exec/operators_internal.h"
-#include "exec/row_key.h"
 #include "expr/evaluator.h"
 #include "expr/simplifier.h"
 
@@ -46,83 +45,40 @@ class AggregateExec final : public ExecOperator {
   /// core: masks evaluate once per chunk, expression-valued arguments
   /// evaluate once column-at-a-time, bare-column arguments read the input
   /// column directly.
-  void AccumulateChunk(const Chunk& in, GroupMap* groups, std::string* key) {
-    size_t rows = in.num_rows();
-    if (rows == 0) return;
-    AggInputView view;
-    view.rows = rows;
-    // One pass per distinct mask conjunct over the whole chunk; each mask is
-    // the intersection of its conjuncts' selections.
-    view.masks = mask_set_.Evaluate(in);
-    view.group_cols.reserve(group_indexes_.size());
-    for (int g : group_indexes_) view.group_cols.push_back(&in.columns[g]);
-    std::vector<Column> expr_args(aggs_.size());
-    view.arg_cols.resize(aggs_.size(), nullptr);
-    for (size_t a = 0; a < aggs_.size(); ++a) {
-      const BoundAgg& agg = aggs_[a];
-      if (agg.arg_column >= 0) {
-        view.arg_cols[a] = &in.columns[agg.arg_column];
-      } else if (agg.arg.has_value()) {
-        expr_args[a] = agg.arg->EvalAll(in);
-        view.arg_cols[a] = &expr_args[a];
-      }
-    }
-    AccumulateView(view, aggs_, groups, key);
+  void AccumulateChunk(const Chunk& in, AggGroups* groups) {
+    if (in.num_rows() == 0) return;
+    std::vector<Column> expr_args;
+    AccumulateView(ChunkView(in, group_indexes_, aggs_, mask_set_, &expr_args),
+                   aggs_, groups);
   }
 
+  /// Serial: chunks accumulate into `groups_` as they arrive. Parallel: the
+  /// calling thread drains the child (Next() is not thread-safe) and the
+  /// buffered chunks are dealt to worker partials by stride
+  /// (AccumulatePartials). Only the final table is charged to the memory
+  /// metric.
   Status Drain() {
-    if (ctx_->pool() != nullptr) {
-      FUSIONDB_RETURN_IF_ERROR(DrainParallel());
-    } else {
-      if (scalar_) {
-        GroupEntry& entry = groups_[std::string()];
-        entry.states.resize(aggs_.size());
-      }
-      std::string key;
-      while (true) {
-        FUSIONDB_ASSIGN_OR_RETURN(std::optional<Chunk> in, child_->Next());
-        if (!in.has_value()) break;
-        AccumulateChunk(*in, &groups_, &key);
-      }
-    }
-    accounted_bytes_ = GroupMapBytes(groups_);
-    ctx_->AddHashBytes(accounted_bytes_, op_id_);
-    return Status::OK();
-  }
-
-  /// Thread-partitioned build: the driver drains the child (Next() is not
-  /// thread-safe), chunks are dealt to workers by stride (chunk i -> partial
-  /// i mod W, deterministic for a given thread count), each worker fills a
-  /// private partial hash table, and the partials merge into `groups_` in
-  /// worker order via AggState::Merge. Only the merged table is charged to
-  /// the memory metric, matching the serial accounting.
-  Status DrainParallel() {
     std::vector<Chunk> buffered;
     while (true) {
       FUSIONDB_ASSIGN_OR_RETURN(std::optional<Chunk> in, child_->Next());
       if (!in.has_value()) break;
-      if (in->num_rows() > 0) buffered.push_back(std::move(*in));
+      if (ctx_->pool() == nullptr) {
+        AccumulateChunk(*in, &groups_);
+      } else if (in->num_rows() > 0) {
+        buffered.push_back(std::move(*in));
+      }
     }
-    ThreadPool* pool = ctx_->pool();
-    size_t workers = pool->num_workers();
-    std::vector<GroupMap> partials(workers);
-    ParallelRegion region(ctx_);
-    Status st = pool->ParallelFor(
-        workers, [&](size_t /*worker*/, size_t w) -> Status {
-          // `w` is the partial's index; each is claimed exactly once, so
-          // the partial map is touched by a single thread.
-          std::string key;
-          for (size_t ci = w; ci < buffered.size(); ci += workers) {
-            AccumulateChunk(buffered[ci], &partials[w], &key);
-          }
-          return Status::OK();
-        });
-    FUSIONDB_RETURN_IF_ERROR(st);
-    MergePartialGroups(aggs_, &partials, &groups_);
-    if (scalar_) {
-      // Scalar aggregates emit one row even over empty input.
-      groups_[std::string()].states.resize(aggs_.size());
+    if (ctx_->pool() != nullptr) {
+      FUSIONDB_RETURN_IF_ERROR(AccumulatePartials(
+          ctx_, buffered.size(), aggs_,
+          [&](size_t i, AggGroups* part) {
+            AccumulateChunk(buffered[i], part);
+          },
+          &groups_));
     }
+    if (scalar_) groups_.SeedScalar(aggs_.size());
+    accounted_bytes_ = groups_.ByteSize();
+    ctx_->AddHashBytes(accounted_bytes_, op_id_);
     return Status::OK();
   }
 
@@ -132,7 +88,7 @@ class AggregateExec final : public ExecOperator {
   std::vector<BoundAgg> aggs_;
   MaskSet mask_set_;
   ExecContext* ctx_;
-  GroupMap groups_;
+  AggGroups groups_;
   bool done_ = false;
   int64_t accounted_bytes_ = 0;
   int32_t op_id_ = -1;
@@ -179,11 +135,7 @@ class WindowExec final : public ExecOperator {
 
  private:
   Status Materialize() {
-    std::vector<DataType> types;
-    for (const ColumnInfo& c : child_->schema().columns()) {
-      types.push_back(c.type);
-    }
-    data_ = Chunk::Empty(types);
+    data_ = Chunk::Empty(child_->OutputTypes());
     while (true) {
       FUSIONDB_ASSIGN_OR_RETURN(std::optional<Chunk> in, child_->Next());
       if (!in.has_value()) break;
@@ -191,54 +143,27 @@ class WindowExec final : public ExecOperator {
     }
     size_t rows = data_.num_rows();
 
-    // Partition rows, preserving input order within each partition.
-    std::unordered_map<std::string, std::vector<size_t>> partitions;
-    std::string key;
-    for (size_t r = 0; r < rows; ++r) {
-      RowKeyEncoder::Encode(data_, partition_indexes_, r, &key);
-      partitions[key].push_back(r);
-    }
-
-    // Compute each item per partition and broadcast to member rows. Masks
-    // evaluate once as selections; partitions walk their member rows (not
-    // ascending globally), so the selections expand to byte masks for
-    // random-access membership tests.
-    std::vector<SelVector> mask_sels = mask_set_.Evaluate(data_);
-    std::vector<std::vector<uint8_t>> bitmaps;
-    bitmaps.reserve(mask_sels.size());
-    for (const SelVector& s : mask_sels) bitmaps.push_back(s.ToMask(rows));
-    // Expression-valued arguments evaluate once over the materialized data.
-    std::vector<Column> expr_args(items_.size());
-    for (size_t a = 0; a < items_.size(); ++a) {
-      const BoundAgg& item = items_[a];
-      if (item.arg_column < 0 && item.arg.has_value()) {
-        expr_args[a] = item.arg->EvalAll(data_);
-      }
-    }
+    // Partition rows and accumulate each partition's items exactly as a
+    // grouped aggregate over the partition keys would, then broadcast each
+    // partition's finalized values to its member rows.
+    std::vector<Column> expr_args;
+    AggGroups partitions;
+    std::vector<uint32_t> row_ids = AccumulateView(
+        ChunkView(data_, partition_indexes_, items_, mask_set_, &expr_args),
+        items_, &partitions);
     results_.assign(items_.size(), std::vector<Value>(rows));
-    for (const auto& [key, members] : partitions) {
-      for (size_t a = 0; a < items_.size(); ++a) {
-        const BoundAgg& item = items_[a];
-        AggState state;
-        for (size_t r : members) {
-          if (item.mask_slot >= 0 && !bitmaps[item.mask_slot][r]) continue;
-          if (item.arg_column >= 0) {
-            state.AccumulateColumnRow(*item.item, data_.columns[item.arg_column],
-                                      r);
-          } else if (item.arg.has_value()) {
-            state.AccumulateColumnRow(*item.item, expr_args[a], r);
-          } else {
-            state.AccumulateRow(*item.item, Value::Bool(true));
-          }
-        }
-        Value v = state.Finalize(*item.item);
-        for (size_t r : members) results_[a][r] = v;
+    std::vector<Value> finalized(partitions.entries.size());
+    for (size_t a = 0; a < items_.size(); ++a) {
+      const AggregateItem& item = *items_[a].item;
+      for (size_t p = 0; p < finalized.size(); ++p) {
+        finalized[p] = partitions.entries[p].states[a].Finalize(item);
       }
+      for (size_t r = 0; r < rows; ++r) results_[a][r] = finalized[row_ids[r]];
     }
 
     int64_t bytes = 0;
     for (const Column& c : data_.columns) bytes += c.ByteSize();
-    bytes += static_cast<int64_t>(partitions.size()) * 64;
+    bytes += partitions.ByteSize();
     accounted_bytes_ = bytes;
     ctx_->AddHashBytes(bytes, op_id_);
     return Status::OK();
@@ -277,19 +202,13 @@ class MarkDistinctExec final : public ExecOperator {
     size_t rows = in->num_rows();
     Column marker(DataType::kBool);
     marker.Reserve(rows);
-    std::string key;
+    std::vector<const Column*> key_cols = KeyColumns(*in, key_indexes_);
     for (size_t r = 0; r < rows; ++r) {
-      RowKeyEncoder::Encode(*in, key_indexes_, r, &key);
-      auto [it, inserted] = seen_.insert(key);
-      (void)it;
-      if (inserted) {
-        // ~48 bytes map overhead + key bytes, charged incrementally.
-        int64_t bytes = 48 + static_cast<int64_t>(key.size());
-        ctx_->AddHashBytes(bytes, op_id_);
-        accounted_bytes_ += bytes;
-      }
-      marker.AppendBool(inserted);
+      marker.AppendBool(seen_.Insert(key_cols, r).inserted);
     }
+    // Charged incrementally, as the table grows.
+    ctx_->AddHashBytes(seen_.ByteSize() - accounted_bytes_, op_id_);
+    accounted_bytes_ = seen_.ByteSize();
     Chunk out = std::move(*in);
     out.columns.push_back(std::move(marker));
     return std::optional<Chunk>(std::move(out));
@@ -299,7 +218,7 @@ class MarkDistinctExec final : public ExecOperator {
   ExecOperatorPtr child_;
   std::vector<int> key_indexes_;
   ExecContext* ctx_;
-  std::unordered_set<std::string> seen_;
+  KeyedHashTable seen_;
   int64_t accounted_bytes_ = 0;
   int32_t op_id_ = -1;
 };

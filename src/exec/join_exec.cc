@@ -1,11 +1,11 @@
-// Hash join (inner / left / semi) with nested-loop fallback for non-equi
-// and cross joins. The build side (right input) is fully buffered and
-// accounted against the working-memory metric.
+// Hash join (inner / left / semi / cross). The build side (right input) is
+// fully buffered and accounted against the working-memory metric. A join
+// without equi keys (cross, or non-equi conditions only) keys every build row
+// on the empty key, so each probe row walks all build rows: the nested loop.
 #include <optional>
-#include <unordered_map>
 
+#include "exec/keyed_table.h"
 #include "exec/operators_internal.h"
-#include "exec/row_key.h"
 #include "expr/evaluator.h"
 #include "expr/simplifier.h"
 
@@ -13,33 +13,20 @@ namespace fusiondb::internal {
 
 namespace {
 
-struct EquiKey {
-  int left_index;
-  int right_index;
-};
-
 class HashJoinExec final : public ExecOperator {
  public:
   HashJoinExec(const JoinOp& op, ExecOperatorPtr left, ExecOperatorPtr right,
-               std::vector<EquiKey> keys, std::optional<BoundExpr> residual,
-               ExecContext* ctx)
+               std::vector<int> left_keys, std::vector<int> right_keys,
+               std::optional<BoundExpr> residual, ExecContext* ctx)
       : ExecOperator(op.schema()),
         join_type_(op.join_type()),
         left_(std::move(left)),
         right_(std::move(right)),
-        keys_(std::move(keys)),
         residual_(std::move(residual)),
         ctx_(ctx),
-        op_id_(ctx->building_op()) {
-    right_types_.reserve(right_->schema().num_columns());
-    for (const ColumnInfo& c : right_->schema().columns()) {
-      right_types_.push_back(c.type);
-    }
-    for (const EquiKey& k : keys_) {
-      left_key_indexes_.push_back(k.left_index);
-      right_key_indexes_.push_back(k.right_index);
-    }
-  }
+        left_key_indexes_(std::move(left_keys)),
+        right_key_indexes_(std::move(right_keys)),
+        op_id_(ctx->building_op()) {}
 
   ~HashJoinExec() override { ctx_->AddHashBytes(-accounted_bytes_, op_id_); }
 
@@ -60,76 +47,36 @@ class HashJoinExec final : public ExecOperator {
 
  private:
   Status BuildRight() {
-    right_data_ = Chunk::Empty(right_types_);
+    right_data_ = Chunk::Empty(right_->OutputTypes());
     while (true) {
       FUSIONDB_ASSIGN_OR_RETURN(std::optional<Chunk> in, right_->Next());
       if (!in.has_value()) break;
       right_data_.AppendChunk(*in);
     }
     size_t n = right_data_.num_rows();
-    if (!keys_.empty()) {
-      if (ctx_->pool() != nullptr && n > 1) {
-        FUSIONDB_RETURN_IF_ERROR(BuildTableParallel(n));
-      } else {
-        table_.reserve(n);
-        std::string key;
-        for (size_t r = 0; r < n; ++r) {
-          if (RowKeyEncoder::Encode(right_data_, right_key_indexes_, r, &key)) {
-            continue;  // NULL keys never join
-          }
-          table_[key].push_back(r);
-        }
-      }
+    // Each key id chains its build rows in ascending order: head_[id] is the
+    // first, next_[row] the one after. next_ holds the row's key id until
+    // the backward pass below threads the chains.
+    std::vector<const Column*> cols =
+        KeyColumns(right_data_, right_key_indexes_);
+    next_.assign(n, kNoRow);
+    for (size_t r = 0; r < n; ++r) {
+      if (KeyedHashTable::AnyNull(cols, r)) continue;  // NULL keys never join
+      next_[r] = table_.Insert(cols, r).id;
     }
-    // Account buffered rows + hash entries against working memory.
-    int64_t bytes = 0;
+    head_.assign(table_.size(), kNoRow);
+    for (size_t r = n; r-- > 0;) {
+      uint32_t id = next_[r];
+      if (id == kNoRow) continue;
+      next_[r] = head_[id];
+      head_[id] = static_cast<uint32_t>(r);
+    }
+    int64_t bytes = table_.ByteSize() +
+                    static_cast<int64_t>((head_.capacity() + next_.capacity()) *
+                                         sizeof(uint32_t));
     for (const Column& c : right_data_.columns) bytes += c.ByteSize();
-    bytes += static_cast<int64_t>(n) * 48;
     accounted_bytes_ = bytes;
     ctx_->AddHashBytes(bytes, op_id_);
-    return Status::OK();
-  }
-
-  /// Thread-partitioned build phase: worker w encodes keys for the
-  /// contiguous row range [w*n/W, (w+1)*n/W) into a private partial table;
-  /// the partials merge into `table_` in worker order. Because the ranges
-  /// are contiguous and ascending, every bucket's row list comes out in
-  /// ascending row order — exactly what the serial loop produces — so probe
-  /// output is identical to single-threaded execution. The probe side stays
-  /// streaming on the driver thread.
-  Status BuildTableParallel(size_t n) {
-    ThreadPool* pool = ctx_->pool();
-    size_t workers = pool->num_workers();
-    using PartialTable = std::unordered_map<std::string, std::vector<size_t>>;
-    std::vector<PartialTable> partials(workers);
-    ParallelRegion region(ctx_);
-    Status st = pool->ParallelFor(
-        workers, [&](size_t /*worker*/, size_t w) -> Status {
-          size_t begin = n * w / workers;
-          size_t end = n * (w + 1) / workers;
-          PartialTable& local = partials[w];
-          std::string key;
-          for (size_t r = begin; r < end; ++r) {
-            if (RowKeyEncoder::Encode(right_data_, right_key_indexes_, r,
-                                      &key)) {
-              continue;  // NULL keys never join
-            }
-            local[key].push_back(r);
-          }
-          return Status::OK();
-        });
-    FUSIONDB_RETURN_IF_ERROR(st);
-    table_.reserve(n);
-    for (PartialTable& pt : partials) {
-      for (auto& [key, rows] : pt) {
-        std::vector<size_t>& bucket = table_[key];
-        if (bucket.empty()) {
-          bucket = std::move(rows);
-        } else {
-          bucket.insert(bucket.end(), rows.begin(), rows.end());
-        }
-      }
-    }
     return Status::OK();
   }
 
@@ -140,9 +87,10 @@ class HashJoinExec final : public ExecOperator {
     return !v.is_null() && v.bool_value();
   }
 
-  // Sentinel right-row index meaning "no match": the output row carries the
-  // left columns plus NULL right columns (left outer join).
-  static constexpr uint32_t kNullRight = UINT32_MAX;
+  // Sentinel right-row index: the end of a row chain, and in the output
+  // pairs "no match", where the row carries the left columns plus NULL right
+  // columns (left outer join).
+  static constexpr uint32_t kNoRow = UINT32_MAX;
 
   /// Matching stays row-at-a-time (key encode + residual EvalRowPair over
   /// candidate pairs), but row assembly is deferred: the probe loop only
@@ -150,40 +98,25 @@ class HashJoinExec final : public ExecOperator {
   /// output columns are built afterwards with bulk gathers.
   void ProbeChunk(const Chunk& in, Chunk* out) {
     size_t rows = in.num_rows();
-    size_t right_rows = right_data_.num_rows();
     std::vector<uint32_t> lrows;
     std::vector<uint32_t> rrows;
     bool any_null_right = false;
-    std::string key;
+    std::vector<const Column*> cols = KeyColumns(in, left_key_indexes_);
     for (size_t r = 0; r < rows; ++r) {
       bool matched = false;
-      if (!keys_.empty()) {
-        bool has_null =
-            RowKeyEncoder::Encode(in, left_key_indexes_, r, &key);
-        if (!has_null) {
-          auto it = table_.find(key);
-          if (it != table_.end()) {
-            for (size_t m : it->second) {
-              if (!PairPasses(in, r, m)) continue;
-              matched = true;
-              lrows.push_back(static_cast<uint32_t>(r));
-              rrows.push_back(static_cast<uint32_t>(m));
-              if (join_type_ == JoinType::kSemi) break;
-            }
-          }
-        }
-      } else {
-        for (size_t m = 0; m < right_rows; ++m) {
-          if (!PairPasses(in, r, m)) continue;
-          matched = true;
-          lrows.push_back(static_cast<uint32_t>(r));
-          rrows.push_back(static_cast<uint32_t>(m));
-          if (join_type_ == JoinType::kSemi) break;
-        }
+      uint32_t id = KeyedHashTable::AnyNull(cols, r) ? KeyedHashTable::kNoId
+                                                     : table_.Find(cols, r);
+      uint32_t m = id == KeyedHashTable::kNoId ? kNoRow : head_[id];
+      for (; m != kNoRow; m = next_[m]) {
+        if (!PairPasses(in, r, m)) continue;
+        matched = true;
+        lrows.push_back(static_cast<uint32_t>(r));
+        rrows.push_back(m);
+        if (join_type_ == JoinType::kSemi) break;
       }
       if (!matched && join_type_ == JoinType::kLeft) {
         lrows.push_back(static_cast<uint32_t>(r));
-        rrows.push_back(kNullRight);
+        rrows.push_back(kNoRow);
         any_null_right = true;
       }
     }
@@ -202,7 +135,7 @@ class HashJoinExec final : public ExecOperator {
       }
       dst.Reserve(rrows.size());
       for (uint32_t m : rrows) {
-        if (m == kNullRight) {
+        if (m == kNoRow) {
           dst.AppendNull();
         } else {
           dst.AppendFrom(src, m);
@@ -214,15 +147,15 @@ class HashJoinExec final : public ExecOperator {
   JoinType join_type_;
   ExecOperatorPtr left_;
   ExecOperatorPtr right_;
-  std::vector<EquiKey> keys_;
   std::optional<BoundExpr> residual_;
   ExecContext* ctx_;
 
-  std::vector<DataType> right_types_;
   std::vector<int> left_key_indexes_;
   std::vector<int> right_key_indexes_;
   Chunk right_data_;
-  std::unordered_map<std::string, std::vector<size_t>> table_;
+  KeyedHashTable table_;
+  std::vector<uint32_t> head_;  // per key id: first build row
+  std::vector<uint32_t> next_;  // per build row: next row with its key
   bool built_ = false;
   int64_t accounted_bytes_ = 0;
   int32_t op_id_ = -1;
@@ -238,7 +171,8 @@ Result<ExecOperatorPtr> MakeJoinExec(const JoinOp& op, ExecOperatorPtr left,
   // Split the condition into hashable equi pairs and a bound residual.
   std::vector<ExprPtr> conjuncts;
   SplitConjuncts(op.condition(), &conjuncts);
-  std::vector<EquiKey> keys;
+  std::vector<int> left_keys;
+  std::vector<int> right_keys;
   std::vector<ExprPtr> residual_parts;
   const Schema& ls = left->schema();
   const Schema& rs = right->schema();
@@ -254,11 +188,10 @@ Result<ExecOperatorPtr> MakeJoinExec(const JoinOp& op, ExecOperatorPtr left,
       auto same_phys = [&](ColumnId l, ColumnId r) {
         return PhysicalTypeOf(*ls.TypeOf(l)) == PhysicalTypeOf(*rs.TypeOf(r));
       };
+      if (!(ls.Contains(a) && rs.Contains(b))) std::swap(a, b);
       if (ls.Contains(a) && rs.Contains(b) && same_phys(a, b)) {
-        keys.push_back({ls.IndexOf(a), rs.IndexOf(b)});
-        is_equi = true;
-      } else if (ls.Contains(b) && rs.Contains(a) && same_phys(b, a)) {
-        keys.push_back({ls.IndexOf(b), rs.IndexOf(a)});
+        left_keys.push_back(ls.IndexOf(a));
+        right_keys.push_back(rs.IndexOf(b));
         is_equi = true;
       }
     }
@@ -276,12 +209,12 @@ Result<ExecOperatorPtr> MakeJoinExec(const JoinOp& op, ExecOperatorPtr left,
                               BindExpr(residual_expr, Schema(combined)));
     residual = std::move(bound);
   }
-  if (op.join_type() == JoinType::kCross && (!keys.empty() || residual)) {
+  if (op.join_type() == JoinType::kCross && (!left_keys.empty() || residual)) {
     return Status::PlanError("cross join must have TRUE condition");
   }
-  return ExecOperatorPtr(new HashJoinExec(op, std::move(left), std::move(right),
-                                          std::move(keys), std::move(residual),
-                                          ctx));
+  return ExecOperatorPtr(new HashJoinExec(
+      op, std::move(left), std::move(right), std::move(left_keys),
+      std::move(right_keys), std::move(residual), ctx));
 }
 
 }  // namespace fusiondb::internal

@@ -30,7 +30,6 @@ class ExecOperator {
 
   const Schema& schema() const { return schema_; }
 
- protected:
   /// Column types of this operator's output, for building result chunks.
   std::vector<DataType> OutputTypes() const {
     std::vector<DataType> types;

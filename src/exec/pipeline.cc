@@ -72,12 +72,11 @@ struct PipelineSpec {
 
 /// One morsel's aggregate input, evaluated to dense columns: what the
 /// interpreted path would see as the filtered+projected chunk, without ever
-/// building that chunk.
+/// building that chunk. `view` points into `columns` (group columns, then
+/// argument columns); moving the struct keeps the column buffers in place.
 struct PreparedAggChunk {
-  size_t rows = 0;
-  std::vector<Column> group_cols;
-  std::vector<Column> arg_cols;  // parallel to the aggs; unused for COUNT(*)
-  std::vector<SelVector> masks;  // dense coordinates, mask-slot order
+  std::vector<Column> columns;
+  AggInputView view;
 };
 
 class PipelineExec final : public ExecOperator {
@@ -188,7 +187,8 @@ class PipelineExec final : public ExecOperator {
     } else {
       FUSIONDB_RETURN_IF_ERROR(RunAggSerial());
     }
-    accounted_bytes_ = GroupMapBytes(groups_);
+    if (spec_.scalar) groups_.SeedScalar(spec_.baggs.aggs.size());
+    accounted_bytes_ = groups_.ByteSize();
     ctx_->AddHashBytes(accounted_bytes_, root_op_id_);
     return std::optional<Chunk>(FinalizeGroups(&groups_, spec_.baggs.aggs,
                                                OutputTypes(),
@@ -209,20 +209,7 @@ class PipelineExec final : public ExecOperator {
       c.NarrowFilter(morsel, &narrowed);
       conjunct_sels.push_back(PositionsIn(narrowed, base));
     }
-    std::vector<SelVector> sels;
-    sels.reserve(ms.mask_slots.size());
-    for (const std::vector<int>& slots : ms.mask_slots) {
-      SelVector sel;
-      bool first = true;
-      for (int s : slots) {
-        sel = first ? conjunct_sels[s]
-                    : SelVector::Intersect(sel, conjunct_sels[s]);
-        first = false;
-      }
-      if (first) sel = SelVector::Dense(base.size());
-      sels.push_back(std::move(sel));
-    }
-    return sels;
+    return ms.Combine(conjunct_sels, base.size());
   }
 
   /// Evaluates one surviving morsel's group / argument / mask inputs to
@@ -231,68 +218,45 @@ class PipelineExec final : public ExecOperator {
   /// its input chunk; otherwise EvalSel computes surviving rows only.
   PreparedAggChunk Prepare(const Chunk& morsel, const SelVector& sel) const {
     const bool filtered = !AllPass(morsel, sel);
+    auto eval = [&](const BoundExpr& e) {
+      return filtered ? e.EvalSel(morsel, sel) : e.EvalAll(morsel);
+    };
+    const std::vector<BoundAgg>& aggs = spec_.baggs.aggs;
     PreparedAggChunk p;
-    p.rows = filtered ? sel.size() : morsel.num_rows();
-    p.masks = filtered ? EvalMasksNarrowed(morsel, sel)
-                       : spec_.baggs.mask_set.Evaluate(morsel);
-    p.group_cols.reserve(spec_.group_exprs.size());
+    p.columns.reserve(spec_.group_exprs.size() + aggs.size());
+    AggInputView& view = p.view;
+    view.rows = filtered ? sel.size() : morsel.num_rows();
+    view.masks = filtered ? EvalMasksNarrowed(morsel, sel)
+                          : spec_.baggs.mask_set.Evaluate(morsel);
     for (const BoundExpr& g : spec_.group_exprs) {
-      p.group_cols.push_back(filtered ? g.EvalSel(morsel, sel)
-                                      : g.EvalAll(morsel));
+      view.group_cols.push_back(&p.columns.emplace_back(eval(g)));
     }
-    p.arg_cols.resize(spec_.baggs.aggs.size());
-    for (size_t a = 0; a < spec_.baggs.aggs.size(); ++a) {
-      const BoundAgg& agg = spec_.baggs.aggs[a];
-      if (agg.arg.has_value()) {
-        p.arg_cols[a] = filtered ? agg.arg->EvalSel(morsel, sel)
-                                 : agg.arg->EvalAll(morsel);
+    view.arg_cols.resize(aggs.size(), nullptr);
+    for (size_t a = 0; a < aggs.size(); ++a) {
+      if (aggs[a].arg.has_value()) {
+        view.arg_cols[a] = &p.columns.emplace_back(eval(*aggs[a].arg));
       }
     }
     return p;
   }
 
-  /// Column-pointer view over a prepared morsel (masks move out — each
-  /// prepared morsel is accumulated exactly once).
-  AggInputView ViewOf(PreparedAggChunk& p) const {
-    AggInputView view;
-    view.rows = p.rows;
-    view.group_cols.reserve(p.group_cols.size());
-    for (const Column& c : p.group_cols) view.group_cols.push_back(&c);
-    view.arg_cols.resize(spec_.baggs.aggs.size(), nullptr);
-    for (size_t a = 0; a < spec_.baggs.aggs.size(); ++a) {
-      if (spec_.baggs.aggs[a].arg.has_value()) {
-        view.arg_cols[a] = &p.arg_cols[a];
-      }
-    }
-    view.masks = std::move(p.masks);
-    return view;
-  }
-
   Status RunAggSerial() {
-    if (spec_.scalar) {
-      // Scalar aggregates emit one row even over empty input; seeded before
-      // the drain, mirroring the interpreted serial path.
-      groups_[std::string()].states.resize(spec_.baggs.aggs.size());
-    }
-    std::string key;
     while (true) {
       FUSIONDB_ASSIGN_OR_RETURN(std::optional<Chunk> morsel,
                                 source_.NextSerial());
       if (!morsel.has_value()) break;
       SelVector sel;
       if (!ApplyFilters(*morsel, &sel)) continue;
-      PreparedAggChunk p = Prepare(*morsel, sel);
-      AggInputView view = ViewOf(p);
-      AccumulateView(view, spec_.baggs.aggs, &groups_, &key);
+      AccumulateView(Prepare(*morsel, sel).view, spec_.baggs.aggs, &groups_);
     }
     return Status::OK();
   }
 
   /// Parallel aggregate: phase 1 filters and prepares surviving morsels
   /// inside the scan's ParallelFor, kept in (partition, slice) order — the
-  /// same sequence of nonempty chunks AggregateExec::DrainParallel buffers
+  /// same sequence of nonempty chunks AggregateExec::Drain buffers
   /// from its child. Phase 2 deals morsel i to partial i mod W and merges
-  /// partials in worker order, so the group map (insertion order included)
+  /// partials in worker order, so the group table (id order included)
   /// is identical to the interpreted build for the same thread count.
   Status RunAggParallel() {
     std::vector<std::vector<PreparedAggChunk>> per_partition(
@@ -311,28 +275,12 @@ class PipelineExec final : public ExecOperator {
     for (std::vector<PreparedAggChunk>& chunks : per_partition) {
       for (PreparedAggChunk& p : chunks) prepared.push_back(std::move(p));
     }
-    ThreadPool* pool = ctx_->pool();
-    size_t workers = pool->num_workers();
-    std::vector<GroupMap> partials(workers);
-    ParallelRegion region(ctx_);
-    Status st = pool->ParallelFor(
-        workers, [&](size_t /*worker*/, size_t w) -> Status {
-          // `w` is the partial's index; each is claimed exactly once, so
-          // the partial map is touched by a single thread.
-          std::string key;
-          for (size_t ci = w; ci < prepared.size(); ci += workers) {
-            AggInputView view = ViewOf(prepared[ci]);
-            AccumulateView(view, spec_.baggs.aggs, &partials[w], &key);
-          }
-          return Status::OK();
-        });
-    FUSIONDB_RETURN_IF_ERROR(st);
-    MergePartialGroups(spec_.baggs.aggs, &partials, &groups_);
-    if (spec_.scalar) {
-      // Mirrors the interpreted parallel path: seeded after the merge.
-      groups_[std::string()].states.resize(spec_.baggs.aggs.size());
-    }
-    return Status::OK();
+    return AccumulatePartials(
+        ctx_, prepared.size(), spec_.baggs.aggs,
+        [&](size_t i, AggGroups* part) {
+          AccumulateView(prepared[i].view, spec_.baggs.aggs, part);
+        },
+        &groups_);
   }
 
   ExecContext* ctx_;
@@ -345,7 +293,7 @@ class PipelineExec final : public ExecOperator {
   std::vector<Chunk> out_chunks_;
   size_t out_cursor_ = 0;
   // Aggregate state.
-  GroupMap groups_;
+  AggGroups groups_;
   bool done_ = false;
   int64_t accounted_bytes_ = 0;
 };

@@ -3,6 +3,7 @@
 #include <cstdio>
 #include <sstream>
 
+#include "obs/operator_stats.h"
 #include "plan/spool.h"
 
 namespace fusiondb {
@@ -15,7 +16,17 @@ constexpr size_t kMaxFusionSteps = 65536;
 
 }  // namespace
 
-void OptimizerTrace::BeginPhase(std::string name) { phase_ = std::move(name); }
+void OptimizerTrace::BeginPhase(std::string name) {
+  EndPhase();
+  phase_ = std::move(name);
+  phase_start_ns_ = NowNanos();
+}
+
+void OptimizerTrace::EndPhase() {
+  if (phase_start_ns_ < 0) return;
+  phase_times_.push_back({phase_, NowNanos() - phase_start_ns_});
+  phase_start_ns_ = -1;
+}
 
 void OptimizerTrace::RecordRuleAttempt(std::string_view rule, bool fired) {
   for (RulePhaseStats& s : rule_stats_) {
@@ -82,6 +93,13 @@ void OptimizerTrace::FusionResolve(int step, bool fused, std::string outcome) {
 std::string OptimizerTrace::ToString() const {
   std::ostringstream os;
   os << "== optimizer trace ==\n";
+  os << "phases (wall time):\n";
+  for (const PhaseTiming& t : phase_times_) {
+    char line[96];
+    std::snprintf(line, sizeof(line), "  %-12s %10.3f ms\n", t.phase.c_str(),
+                  static_cast<double>(t.wall_ns) * 1e-6);
+    os << line;
+  }
   os << "rules (per phase):\n";
   for (const RulePhaseStats& s : rule_stats_) {
     char line[160];

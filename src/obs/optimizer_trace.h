@@ -28,6 +28,12 @@ struct RulePhaseStats {
   int64_t fired = 0;
 };
 
+/// Wall time of one optimizer phase, in the order the phases ran.
+struct PhaseTiming {
+  std::string phase;
+  int64_t wall_ns = 0;
+};
+
 /// One successful rewrite: which rule, where it anchored, and the operator
 /// counts before/after (fusion rewrites shrink the plan; that delta is the
 /// paper's whole point).
@@ -56,8 +62,11 @@ struct FusionStep {
 class OptimizerTrace {
  public:
   /// Phase bookkeeping (normalize, decorrelate, fuse, ...). Subsequent rule
-  /// events are attributed to the current phase.
+  /// events are attributed to the current phase. BeginPhase ends the open
+  /// phase, if any, and starts timing the new one; EndPhase records the open
+  /// phase's wall time (obs/operator_stats.h NowNanos).
   void BeginPhase(std::string name);
+  void EndPhase();
   const std::string& current_phase() const { return phase_; }
 
   /// Records one rule application attempt; `fired` when it rewrote.
@@ -81,6 +90,7 @@ class OptimizerTrace {
   /// nodes derived, ledger obligations discharged).
   void RecordSemanticChecks(int64_t plans, int64_t nodes, int64_t obligations);
 
+  const std::vector<PhaseTiming>& phase_times() const { return phase_times_; }
   const std::vector<RulePhaseStats>& rule_stats() const { return rule_stats_; }
   const std::vector<RuleFiring>& firings() const { return firings_; }
   const std::vector<FusionStep>& fusion_steps() const { return fusion_steps_; }
@@ -98,6 +108,8 @@ class OptimizerTrace {
 
  private:
   std::string phase_;
+  int64_t phase_start_ns_ = -1;  // -1: no phase open
+  std::vector<PhaseTiming> phase_times_;
   std::vector<RulePhaseStats> rule_stats_;
   std::vector<RuleFiring> firings_;
   std::vector<FusionStep> fusion_steps_;

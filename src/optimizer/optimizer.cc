@@ -1,8 +1,5 @@
 #include "optimizer/optimizer.h"
 
-#include <chrono>
-#include <cstdio>
-#include <cstdlib>
 #include <memory>
 #include <vector>
 
@@ -20,30 +17,6 @@
 namespace fusiondb {
 
 namespace {
-
-/// Set FUSIONDB_TRACE_OPTIMIZER=1 to log per-phase wall time to stderr.
-bool TraceEnabled() {
-  static bool enabled = std::getenv("FUSIONDB_TRACE_OPTIMIZER") != nullptr;
-  return enabled;
-}
-
-class PhaseTimer {
- public:
-  explicit PhaseTimer(const char* name)
-      : name_(name), start_(std::chrono::steady_clock::now()) {}
-  ~PhaseTimer() {
-    if (!TraceEnabled()) return;
-    double ms = std::chrono::duration_cast<
-                    std::chrono::duration<double, std::milli>>(
-                    std::chrono::steady_clock::now() - start_)
-                    .count();
-    std::fprintf(stderr, "[optimizer] %-12s %8.1f ms\n", name_, ms);
-  }
-
- private:
-  const char* name_;
-  std::chrono::steady_clock::time_point start_;
-};
 
 /// Rule activity accumulated across one Optimize() call and flushed to the
 /// context's MetricsRegistry once, at scope exit (also on error paths, so
@@ -184,10 +157,6 @@ Result<PlanPtr> RunPhase(const PlanPtr& plan,
     FUSIONDB_ASSIGN_OR_RETURN(
         current,
         SweepOnce(current, rules, ctx, semantic, counters, &changed));
-    if (TraceEnabled()) {
-      std::fprintf(stderr, "[optimizer]   pass %d: %d ops%s\n", pass,
-                   CountAllOps(current), changed ? "" : " (fixpoint)");
-    }
     if (!changed) return current;
   }
   return Status::Internal("optimizer phase did not reach a fixpoint");
@@ -253,7 +222,6 @@ Result<PlanPtr> Optimizer::Optimize(const PlanPtr& plan,
   // 1. Normalize.
   {
     if (obs_trace != nullptr) obs_trace->BeginPhase("normalize");
-    PhaseTimer timer("normalize");
     std::vector<const Rule*> rules{&simplify, &merge_filters, &merge_projects};
     FUSIONDB_ASSIGN_OR_RETURN(current, RunPhase(current, rules, ctx, semantic, &counters));
   }
@@ -261,7 +229,6 @@ Result<PlanPtr> Optimizer::Optimize(const PlanPtr& plan,
   // 2. Decorrelate (always-on substrate; Apply cannot execute).
   if (options_.enable_decorrelation) {
     if (obs_trace != nullptr) obs_trace->BeginPhase("decorrelate");
-    PhaseTimer timer("decorrelate");
     std::vector<const Rule*> rules{&decorrelate, &merge_filters};
     FUSIONDB_ASSIGN_OR_RETURN(current, RunPhase(current, rules, ctx, semantic, &counters));
   }
@@ -269,7 +236,6 @@ Result<PlanPtr> Optimizer::Optimize(const PlanPtr& plan,
   // 3. Lower DISTINCT aggregates onto MarkDistinct.
   if (options_.enable_distinct_lowering) {
     if (obs_trace != nullptr) obs_trace->BeginPhase("lower");
-    PhaseTimer timer("lower");
     std::vector<const Rule*> rules{&lower_distinct};
     FUSIONDB_ASSIGN_OR_RETURN(current, RunPhase(current, rules, ctx, semantic, &counters));
   }
@@ -283,7 +249,6 @@ Result<PlanPtr> Optimizer::Optimize(const PlanPtr& plan,
     if (options_.enable_union_all_fuse) rules.push_back(&union_fuse);
     if (!rules.empty()) {
       if (obs_trace != nullptr) obs_trace->BeginPhase("fuse");
-      PhaseTimer timer("fuse");
       rules.push_back(&simplify);
       FUSIONDB_ASSIGN_OR_RETURN(current, RunPhase(current, rules, ctx, semantic, &counters));
     }
@@ -292,7 +257,6 @@ Result<PlanPtr> Optimizer::Optimize(const PlanPtr& plan,
   // 5. Distinct/semi-join interplay (the Q95 pipeline, Section V.D).
   if (options_.enable_semijoin_rewrites) {
     if (obs_trace != nullptr) obs_trace->BeginPhase("distinct");
-    PhaseTimer timer("distinct");
     std::vector<const Rule*> rules{&semi_to_distinct, &push_distinct,
                                    &merge_projects};
     FUSIONDB_ASSIGN_OR_RETURN(current, RunPhase(current, rules, ctx, semantic, &counters));
@@ -301,7 +265,6 @@ Result<PlanPtr> Optimizer::Optimize(const PlanPtr& plan,
   // 6. Fusion again: phase 5 exposes new JoinOnKeys opportunities.
   if (options_.enable_join_on_keys) {
     if (obs_trace != nullptr) obs_trace->BeginPhase("fuse2");
-    PhaseTimer timer("fuse2");
     std::vector<const Rule*> rules{&join_on_keys, &simplify};
     FUSIONDB_ASSIGN_OR_RETURN(current, RunPhase(current, rules, ctx, semantic, &counters));
   }
@@ -309,14 +272,12 @@ Result<PlanPtr> Optimizer::Optimize(const PlanPtr& plan,
   // 7. Cleanup: simplify, push filters toward (and into) scans, prune.
   {
     if (obs_trace != nullptr) obs_trace->BeginPhase("cleanup");
-    PhaseTimer timer("cleanup");
     std::vector<const Rule*> rules{&simplify, &merge_filters, &merge_projects,
                                    &filter_pushdown, &push_into_scan};
     FUSIONDB_ASSIGN_OR_RETURN(current, RunPhase(current, rules, ctx, semantic, &counters));
   }
   if (options_.enable_column_pruning) {
     if (obs_trace != nullptr) obs_trace->BeginPhase("prune");
-    PhaseTimer timer("prune");
     int ops_before = obs_trace != nullptr ? CountAllOps(current) : 0;
     PlanPtr pre_prune = current;
     FUSIONDB_ASSIGN_OR_RETURN(current, PruneColumns(current));
@@ -341,7 +302,6 @@ Result<PlanPtr> Optimizer::Optimize(const PlanPtr& plan,
   // consumers of a shared spool child.
   if (options_.enable_spooling) {
     if (obs_trace != nullptr) obs_trace->BeginPhase("spool");
-    PhaseTimer timer("spool");
     int ops_before = obs_trace != nullptr ? CountAllOps(current) : 0;
     PlanPtr pre_spool = current;
     FUSIONDB_ASSIGN_OR_RETURN(current, SpoolCommonSubexpressions(current, ctx));
@@ -360,6 +320,8 @@ Result<PlanPtr> Optimizer::Optimize(const PlanPtr& plan,
       FUSIONDB_RETURN_IF_ERROR(semantic->Verify(current, "spooling"));
     }
   }
+
+  if (obs_trace != nullptr) obs_trace->EndPhase();
 
   // Schema stability contract: rewrites may leave superset schemas behind
   // (RestoreSchema avoids interposing projections that would block join

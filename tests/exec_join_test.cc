@@ -125,6 +125,45 @@ TEST(JoinExecTest, BuildSideMemoryAccounted) {
   EXPECT_GT(result.metrics().peak_hash_bytes, 0);
 }
 
+TEST(JoinExecTest, DuplicateBuildKeysMatchInBuildRowOrder) {
+  // build(bk, seq): 2000 rows over 7 keys, seq ascending in row order, in
+  // 8 partitions so the parallel run scans morsels on several workers.
+  TableBuilder bb("build_t", {{"bk", DataType::kInt64},
+                              {"seq", DataType::kInt64}});
+  ASSERT_TRUE(bb.PartitionBy("seq", 250).ok());
+  for (int64_t i = 0; i < 2000; ++i) {
+    ASSERT_TRUE(bb.AppendRow({Value::Int64(i % 7), Value::Int64(i)}).ok());
+  }
+  TablePtr build = Unwrap(bb.Build());
+  TableBuilder pb("probe_t", {{"pk", DataType::kInt64},
+                              {"pid", DataType::kInt64}});
+  ASSERT_TRUE(pb.PartitionBy("pid", 25).ok());
+  for (int64_t i = 0; i < 100; ++i) {
+    ASSERT_TRUE(pb.AppendRow({Value::Int64(i % 9), Value::Int64(i)}).ok());
+  }
+  TablePtr probe = Unwrap(pb.Build());
+
+  PlanContext ctx;
+  PlanBuilder l = PlanBuilder::Scan(&ctx, probe, {"pk", "pid"});
+  l.JoinOn(JoinType::kInner, PlanBuilder::Scan(&ctx, build, {"bk", "seq"}),
+           {{"pk", "bk"}});
+  QueryResult serial = Unwrap(ExecutePlan(l.Build(), {.parallelism = 1}));
+  QueryResult wide = Unwrap(ExecutePlan(l.Build(), {.parallelism = 4}));
+  EXPECT_TRUE(ResultsEqualOrdered(serial, wide));
+
+  // Keys 0..6 each match 2000/7 build rows; keys 7 and 8 match none.
+  int64_t expected = 0;
+  for (int64_t i = 0; i < 100; ++i) {
+    if (i % 9 < 7) expected += (2000 - i % 9 + 6) / 7;
+  }
+  ASSERT_EQ(serial.num_rows(), expected);
+  for (int64_t r = 1; r < serial.num_rows(); ++r) {
+    if (serial.At(r, 1) != serial.At(r - 1, 1)) continue;  // next probe row
+    EXPECT_LT(serial.At(r - 1, 3).int_value(), serial.At(r, 3).int_value())
+        << "row " << r;
+  }
+}
+
 TEST(JoinExecTest, SelfJoinWithInequality) {
   // The Q95 ws_wh shape: self-join on a key with an inequality residual.
   PlanContext ctx;

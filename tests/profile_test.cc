@@ -180,6 +180,31 @@ TEST(OptimizerTraceTest, RecordsGroupByJoinToWindowFiringOnQ65) {
   EXPECT_TRUE(scan_fused);
 }
 
+TEST(OptimizerTraceTest, TimesEveryPhaseOnce) {
+  const Catalog& catalog = SharedTpcds();
+  PlanContext ctx;
+  tpcds::TpcdsQuery query = Unwrap(tpcds::QueryByName("q65"));
+  PlanPtr plan = Unwrap(query.build(catalog, &ctx));
+  OptimizerTrace trace;
+  ctx.set_trace(&trace);
+  Unwrap(Optimizer(OptimizerOptions::Fused()).Optimize(plan, &ctx));
+  ctx.set_trace(nullptr);
+
+  // Fused mode runs these phases in this order (DISTINCT lowering and
+  // spooling are off); each is closed by the next BeginPhase or by the
+  // optimizer's final EndPhase.
+  std::vector<std::string> phases;
+  for (const PhaseTiming& t : trace.phase_times()) {
+    phases.push_back(t.phase);
+    EXPECT_GE(t.wall_ns, 0) << t.phase;
+  }
+  EXPECT_EQ(phases, (std::vector<std::string>{"normalize", "decorrelate",
+                                              "fuse", "distinct", "fuse2",
+                                              "cleanup", "prune"}));
+  EXPECT_NE(trace.ToString().find("phases (wall time):\n  normalize"),
+            std::string::npos);
+}
+
 TEST(OptimizerTraceTest, RecordsRejectReasonForNonFusablePair) {
   const Catalog& catalog = SharedTpcds();
   PlanContext ctx;

@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # The full pre-merge gate, in the order a failure is cheapest to hit:
-#   1. tier-1: plain build + full ctest (plan verification on by default)
+#   1. tier-1: build with warnings as errors + full ctest (plan
+#      verification on by default)
 #   2. semantic verification: the TPC-DS-facing tests re-run with
 #      FUSIONDB_VERIFY_SEMANTICS=1, so every rule firing across all modes
 #      (and the server's cross-plan folds) re-proves its [semantic-*]
@@ -44,7 +45,8 @@ ROOT="$(cd "$(dirname "$0")/.." && pwd)"
 cd "$ROOT"
 
 echo "== [1/9] tier-1 build + tests =="
-cmake -B build -S . >/dev/null
+# The tier-1 build is warning-free; warnings fail it.
+cmake -B build -S . -DCMAKE_COMPILE_WARNING_AS_ERROR=ON >/dev/null
 cmake --build build -j"$JOBS"
 ctest --test-dir build --output-on-failure -j"$JOBS"
 

@@ -45,6 +45,17 @@ if grep -rn --include='*.cc' --include='*.h' 'std::chrono' src/exec \
   note_failure 'src/exec must use obs/operator_stats.h NowNanos(), not std::chrono'
 fi
 
+# The executor has one hash table: joins, aggregation, windows and
+# MarkDistinct key their rows through exec/keyed_table.h. A string-keyed
+# standard container or a RowKeyEncoder in src/exec would be a second key
+# format with its own guessed memory charge. (The unordered_set<Value>
+# DISTINCT sets of agg_state.h are not keyed on rows and stay legal.)
+if grep -rn --include='*.cc' --include='*.h' \
+    'unordered_map<std::string\|unordered_set<std::string\|RowKeyEncoder' \
+    src/exec 2>/dev/null; then
+  note_failure 'keyed lookups in src/exec go through exec/keyed_table.h (KeyedHashTable), not string-keyed std containers'
+fi
+
 # The filter/project/aggregate hot path is vectorized; a per-row EvalRow
 # call creeping back into these files silently reverts it to boxed-Value
 # interpretation. EvalRow stays legal elsewhere (join residuals use
