@@ -85,14 +85,13 @@ void BM_HashJoin(benchmark::State& state) {
 }
 BENCHMARK(BM_HashJoin);
 
-void BM_MarkDistinct(benchmark::State& state) {
+void BM_DistinctAggregation(benchmark::State& state) {
   const Catalog& catalog = BenchCatalog();
   TablePtr t = Unwrap(catalog.GetTable("store_sales"));
   PlanContext ctx;
-  PlanBuilder b = PlanBuilder::Scan(&ctx, t, {"ss_quantity", "ss_list_price"});
-  b.MarkDistinct("marker", {"ss_list_price"});
-  b.Aggregate({}, {{"d", AggFunc::kCountStar, nullptr, b.Ref("marker"),
-                    false}});
+  PlanBuilder b = PlanBuilder::Scan(&ctx, t, {"ss_store_sk", "ss_list_price"});
+  b.Aggregate({"ss_store_sk"}, {{"d", AggFunc::kCount, b.Ref("ss_list_price"),
+                                 nullptr, /*distinct=*/true}});
   PlanPtr plan = b.Build();
   for (auto _ : state) {
     QueryResult r = Unwrap(ExecutePlan(plan));
@@ -100,7 +99,7 @@ void BM_MarkDistinct(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * t->num_rows());
 }
-BENCHMARK(BM_MarkDistinct);
+BENCHMARK(BM_DistinctAggregation);
 
 void BM_WindowAggregation(benchmark::State& state) {
   const Catalog& catalog = BenchCatalog();

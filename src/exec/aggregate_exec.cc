@@ -1,13 +1,12 @@
-// Hash aggregation (with per-aggregate masks and DISTINCT), partitioned
-// window aggregation, and MarkDistinct. The binding and accumulation core
+// Hash aggregation (with per-aggregate masks and DISTINCT) and partitioned
+// window aggregation. The binding and accumulation core
 // (BoundAgg/MaskSet/BindAggs, AggGroups, AccumulateView, merge/finalize) is
 // shared with the compiled-pipeline aggregate sink — see exec/agg_build.h.
-// All three key their rows through exec/keyed_table.h.
+// Both key their rows through exec/keyed_table.h (via AggGroups).
 #include <optional>
 
 #include "exec/agg_build.h"
 #include "exec/agg_state.h"
-#include "exec/keyed_table.h"
 #include "exec/operators_internal.h"
 #include "expr/evaluator.h"
 #include "expr/simplifier.h"
@@ -184,45 +183,6 @@ class WindowExec final : public ExecOperator {
   int32_t op_id_ = -1;
 };
 
-class MarkDistinctExec final : public ExecOperator {
- public:
-  MarkDistinctExec(const MarkDistinctOp& op, ExecOperatorPtr child,
-                   std::vector<int> key_indexes, ExecContext* ctx)
-      : ExecOperator(op.schema()),
-        child_(std::move(child)),
-        key_indexes_(std::move(key_indexes)),
-        ctx_(ctx),
-        op_id_(ctx->building_op()) {}
-
-  ~MarkDistinctExec() override { ctx_->AddHashBytes(-accounted_bytes_, op_id_); }
-
-  Result<std::optional<Chunk>> Next() override {
-    FUSIONDB_ASSIGN_OR_RETURN(std::optional<Chunk> in, child_->Next());
-    if (!in.has_value()) return std::optional<Chunk>();
-    size_t rows = in->num_rows();
-    Column marker(DataType::kBool);
-    marker.Reserve(rows);
-    std::vector<const Column*> key_cols = KeyColumns(*in, key_indexes_);
-    for (size_t r = 0; r < rows; ++r) {
-      marker.AppendBool(seen_.Insert(key_cols, r).inserted);
-    }
-    // Charged incrementally, as the table grows.
-    ctx_->AddHashBytes(seen_.ByteSize() - accounted_bytes_, op_id_);
-    accounted_bytes_ = seen_.ByteSize();
-    Chunk out = std::move(*in);
-    out.columns.push_back(std::move(marker));
-    return std::optional<Chunk>(std::move(out));
-  }
-
- private:
-  ExecOperatorPtr child_;
-  std::vector<int> key_indexes_;
-  ExecContext* ctx_;
-  KeyedHashTable seen_;
-  int64_t accounted_bytes_ = 0;
-  int32_t op_id_ = -1;
-};
-
 }  // namespace
 
 Result<ExecOperatorPtr> MakeAggregateExec(const AggregateOp& op,
@@ -272,23 +232,6 @@ Result<ExecOperatorPtr> MakeWindowExec(const WindowOp& op,
                                         std::move(partition_indexes),
                                         std::move(items), std::move(storage),
                                         ctx));
-}
-
-Result<ExecOperatorPtr> MakeMarkDistinctExec(const MarkDistinctOp& op,
-                                             ExecOperatorPtr child,
-                                             ExecContext* ctx) {
-  std::vector<int> key_indexes;
-  key_indexes.reserve(op.distinct_columns().size());
-  for (ColumnId c : op.distinct_columns()) {
-    int idx = child->schema().IndexOf(c);
-    if (idx < 0) {
-      return Status::PlanError("mark-distinct column #" + std::to_string(c) +
-                               " not in input");
-    }
-    key_indexes.push_back(idx);
-  }
-  return ExecOperatorPtr(
-      new MarkDistinctExec(op, std::move(child), std::move(key_indexes), ctx));
 }
 
 }  // namespace fusiondb::internal

@@ -30,9 +30,6 @@ Result<ExecOperatorPtr> MakeAggregateExec(const AggregateOp& op,
                                           ExecContext* ctx);
 Result<ExecOperatorPtr> MakeWindowExec(const WindowOp& op,
                                        ExecOperatorPtr child, ExecContext* ctx);
-Result<ExecOperatorPtr> MakeMarkDistinctExec(const MarkDistinctOp& op,
-                                             ExecOperatorPtr child,
-                                             ExecContext* ctx);
 Result<ExecOperatorPtr> MakeUnionAllExec(const UnionAllOp& op,
                                          std::vector<ExecOperatorPtr> children);
 Result<ExecOperatorPtr> MakeValuesExec(const ValuesOp& op, ExecContext* ctx);

@@ -77,21 +77,4 @@ std::optional<size_t> CrossPlanFuser::TryAdd(const PlanPtr& plan) {
   return consumers_.size() - 1;
 }
 
-bool CrossPlanFuser::Exact() const {
-  for (const CrossConsumer& c : consumers_) {
-    if (c.filter != nullptr) return false;
-  }
-  return true;
-}
-
-std::optional<CrossFuseResult> FuseAcrossPlans(
-    const std::vector<PlanPtr>& plans, PlanContext* ctx) {
-  if (plans.empty()) return std::nullopt;
-  CrossPlanFuser folder(ctx);
-  for (const PlanPtr& plan : plans) {
-    if (!folder.TryAdd(plan).has_value()) return std::nullopt;
-  }
-  return CrossFuseResult{folder.plan(), folder.consumers()};
-}
-
 }  // namespace fusiondb

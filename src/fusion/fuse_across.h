@@ -64,10 +64,6 @@ class CrossPlanFuser {
   /// The member plans as added (consumer i restores members()[i]).
   const std::vector<PlanPtr>& members() const { return members_; }
 
-  /// True when every compensating filter is TRUE — the shared plan computes
-  /// exactly each member (always the case for identical members).
-  bool Exact() const;
-
  private:
   Fuser fuser_;
   PlanContext* ctx_;  // not owned; carries the optional semantic ledger
@@ -76,14 +72,6 @@ class CrossPlanFuser {
   std::vector<PlanPtr> members_;
   std::vector<uint64_t> member_fingerprints_;  // aligned with members_
 };
-
-/// One-shot form: folds all of `plans` (at least one) or fails entirely.
-struct CrossFuseResult {
-  PlanPtr plan;
-  std::vector<CrossConsumer> consumers;  // aligned with `plans`
-};
-std::optional<CrossFuseResult> FuseAcrossPlans(
-    const std::vector<PlanPtr>& plans, PlanContext* ctx);
 
 }  // namespace fusiondb
 

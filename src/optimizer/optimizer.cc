@@ -162,6 +162,34 @@ Result<PlanPtr> RunPhase(const PlanPtr& plan,
   return Status::Internal("optimizer phase did not reach a fixpoint");
 }
 
+/// Runs a pass that rewrites the whole plan at once (column pruning,
+/// spooling) as phase `phase`: traced and counted as one attempt of `rule`,
+/// then verified structurally and semantically under `label`.
+template <typename Pass>
+Result<PlanPtr> RunWholePlanPass(std::string phase, std::string_view rule,
+                                 std::string_view label, const PlanPtr& plan,
+                                 PlanContext* ctx, SemanticVerifier* semantic,
+                                 OptCounters* counters, const Pass& pass) {
+  OptimizerTrace* trace = ctx->trace();
+  if (trace != nullptr) trace->BeginPhase(std::move(phase));
+  int ops_before = trace != nullptr ? CountAllOps(plan) : 0;
+  FUSIONDB_ASSIGN_OR_RETURN(PlanPtr next, pass(plan));
+  bool fired = next != plan;
+  if (trace != nullptr) {
+    trace->RecordRuleAttempt(rule, fired);
+    if (fired) {
+      trace->RecordRuleFiring(rule, *plan, ops_before, CountAllOps(next));
+    }
+  }
+  ++counters->attempts;
+  if (fired) counters->AddFiring(rule);
+  FUSIONDB_RETURN_IF_ERROR(VerifyPlanIfEnabled(next, label));
+  if (semantic != nullptr) {
+    FUSIONDB_RETURN_IF_ERROR(semantic->Verify(next, label));
+  }
+  return next;
+}
+
 /// Uninstalls an optimizer-owned ledger from the context on every return
 /// path; a caller-provided ledger (src/server) is left untouched.
 struct LedgerGuard {
@@ -182,7 +210,6 @@ Result<PlanPtr> Optimizer::Optimize(const PlanPtr& plan,
   static const PushFilterIntoScanRule push_into_scan;
   static const FilterPushdownRule filter_pushdown;
   static const DecorrelateScalarAggRule decorrelate;
-  static const DistinctAggToMarkDistinctRule lower_distinct;
   static const SemiJoinToDistinctJoinRule semi_to_distinct;
   static const PushDistinctBelowJoinRule push_distinct;
   static const GroupByJoinToWindowRule to_window;
@@ -226,21 +253,14 @@ Result<PlanPtr> Optimizer::Optimize(const PlanPtr& plan,
     FUSIONDB_ASSIGN_OR_RETURN(current, RunPhase(current, rules, ctx, semantic, &counters));
   }
 
-  // 2. Decorrelate (always-on substrate; Apply cannot execute).
-  if (options_.enable_decorrelation) {
+  // 2. Decorrelate (Apply cannot execute).
+  {
     if (obs_trace != nullptr) obs_trace->BeginPhase("decorrelate");
     std::vector<const Rule*> rules{&decorrelate, &merge_filters};
     FUSIONDB_ASSIGN_OR_RETURN(current, RunPhase(current, rules, ctx, semantic, &counters));
   }
 
-  // 3. Lower DISTINCT aggregates onto MarkDistinct.
-  if (options_.enable_distinct_lowering) {
-    if (obs_trace != nullptr) obs_trace->BeginPhase("lower");
-    std::vector<const Rule*> rules{&lower_distinct};
-    FUSIONDB_ASSIGN_OR_RETURN(current, RunPhase(current, rules, ctx, semantic, &counters));
-  }
-
-  // 4. Fusion rules (Section IV).
+  // 3. Fusion rules (Section IV).
   {
     std::vector<const Rule*> rules;
     if (options_.enable_group_by_join_to_window) rules.push_back(&to_window);
@@ -254,71 +274,43 @@ Result<PlanPtr> Optimizer::Optimize(const PlanPtr& plan,
     }
   }
 
-  // 5. Distinct/semi-join interplay (the Q95 pipeline, Section V.D).
-  if (options_.enable_semijoin_rewrites) {
+  // 4. Distinct/semi-join interplay (the Q95 pipeline, Section V.D).
+  {
     if (obs_trace != nullptr) obs_trace->BeginPhase("distinct");
     std::vector<const Rule*> rules{&semi_to_distinct, &push_distinct,
                                    &merge_projects};
     FUSIONDB_ASSIGN_OR_RETURN(current, RunPhase(current, rules, ctx, semantic, &counters));
   }
 
-  // 6. Fusion again: phase 5 exposes new JoinOnKeys opportunities.
+  // 5. Fusion again: phase 4 exposes new JoinOnKeys opportunities.
   if (options_.enable_join_on_keys) {
     if (obs_trace != nullptr) obs_trace->BeginPhase("fuse2");
     std::vector<const Rule*> rules{&join_on_keys, &simplify};
     FUSIONDB_ASSIGN_OR_RETURN(current, RunPhase(current, rules, ctx, semantic, &counters));
   }
 
-  // 7. Cleanup: simplify, push filters toward (and into) scans, prune.
+  // 6. Cleanup: simplify, push filters toward (and into) scans, prune.
   {
     if (obs_trace != nullptr) obs_trace->BeginPhase("cleanup");
     std::vector<const Rule*> rules{&simplify, &merge_filters, &merge_projects,
                                    &filter_pushdown, &push_into_scan};
     FUSIONDB_ASSIGN_OR_RETURN(current, RunPhase(current, rules, ctx, semantic, &counters));
   }
-  if (options_.enable_column_pruning) {
-    if (obs_trace != nullptr) obs_trace->BeginPhase("prune");
-    int ops_before = obs_trace != nullptr ? CountAllOps(current) : 0;
-    PlanPtr pre_prune = current;
-    FUSIONDB_ASSIGN_OR_RETURN(current, PruneColumns(current));
-    if (obs_trace != nullptr) {
-      bool fired = current != pre_prune;
-      obs_trace->RecordRuleAttempt("PruneColumns", fired);
-      if (fired) {
-        obs_trace->RecordRuleFiring("PruneColumns", *pre_prune, ops_before,
-                                    CountAllOps(current));
-      }
-    }
-    ++counters.attempts;
-    if (current != pre_prune) counters.AddFiring("PruneColumns");
-    FUSIONDB_RETURN_IF_ERROR(VerifyPlanIfEnabled(current, "column pruning"));
-    if (semantic != nullptr) {
-      FUSIONDB_RETURN_IF_ERROR(semantic->Verify(current, "column pruning"));
-    }
-  }
+  FUSIONDB_ASSIGN_OR_RETURN(
+      current, RunWholePlanPass("prune", "PruneColumns", "column pruning",
+                                current, ctx, semantic, &counters,
+                                PruneColumns));
 
-  // 8. Spooling (off by default): share duplicated subtrees through
+  // 7. Spooling (off by default): share duplicated subtrees through
   // materialization. Runs last so later rewrites cannot diverge the two
   // consumers of a shared spool child.
   if (options_.enable_spooling) {
-    if (obs_trace != nullptr) obs_trace->BeginPhase("spool");
-    int ops_before = obs_trace != nullptr ? CountAllOps(current) : 0;
-    PlanPtr pre_spool = current;
-    FUSIONDB_ASSIGN_OR_RETURN(current, SpoolCommonSubexpressions(current, ctx));
-    if (obs_trace != nullptr) {
-      bool fired = current != pre_spool;
-      obs_trace->RecordRuleAttempt("SpoolCommonSubexpressions", fired);
-      if (fired) {
-        obs_trace->RecordRuleFiring("SpoolCommonSubexpressions", *pre_spool,
-                                    ops_before, CountAllOps(current));
-      }
-    }
-    ++counters.attempts;
-    if (current != pre_spool) counters.AddFiring("SpoolCommonSubexpressions");
-    FUSIONDB_RETURN_IF_ERROR(VerifyPlanIfEnabled(current, "spooling"));
-    if (semantic != nullptr) {
-      FUSIONDB_RETURN_IF_ERROR(semantic->Verify(current, "spooling"));
-    }
+    FUSIONDB_ASSIGN_OR_RETURN(
+        current, RunWholePlanPass("spool", "SpoolCommonSubexpressions",
+                                  "spooling", current, ctx, semantic,
+                                  &counters, [ctx](const PlanPtr& p) {
+                                    return SpoolCommonSubexpressions(p, ctx);
+                                  }));
   }
 
   if (obs_trace != nullptr) obs_trace->EndPhase();

@@ -3,14 +3,17 @@
 // with pre-existing rules):
 //   1. normalize      — simplification, filter/project normalization
 //   2. decorrelate    — Apply -> Join + GroupBy ([20])
-//   3. lower          — DISTINCT aggregates onto MarkDistinct (III.F)
-//   4. fuse           — Section IV rules (toggleable, for A/B benchmarks)
-//   5. distinct       — semi-join -> distinct-join, distinct pushdown (V.D)
-//   6. fuse again     — rules enabled by phase 5 (Q95's JoinOnKeys)
-//   7. cleanup        — simplify, pushdown, partition pruning, column pruning
+//   3. fuse           — Section IV rules (toggleable, for A/B benchmarks)
+//   4. distinct       — semi-join -> distinct-join, distinct pushdown (V.D)
+//   5. fuse again     — rules enabled by phase 4 (Q95's JoinOnKeys)
+//   6. cleanup        — simplify, pushdown, partition pruning, column pruning
+//   7. spool          — optional common-subexpression materialization
 //
-// The baseline configuration used in benchmarks disables only phase 4/6
-// fusion rules; every substrate phase runs in both configurations.
+// The baseline configuration used in benchmarks disables only phase 3/5
+// fusion rules; every substrate phase runs in all configurations.
+// DISTINCT aggregates are not lowered as in the paper's Section III.F: the
+// executor evaluates masked DISTINCT aggregates natively and Fuse's Section
+// III.E aggregate case fuses them.
 #ifndef FUSIONDB_OPTIMIZER_OPTIMIZER_H_
 #define FUSIONDB_OPTIMIZER_OPTIMIZER_H_
 
@@ -27,21 +30,8 @@ struct OptimizerOptions {
   bool enable_union_all_on_join = true;
   bool enable_union_all_fuse = true;
 
-  // Substrate switches (identical in the baseline and optimized
-  // configurations; exposed for targeted tests and ablations).
-  bool enable_decorrelation = true;
-  // Lowering DISTINCT aggregates onto MarkDistinct (Section III.F) is what
-  // Athena does; FusionDB's executor also evaluates masked DISTINCT
-  // aggregates natively, and in this in-memory substrate chained
-  // MarkDistinct passes are CPU-bound (in Athena they pipeline against S3
-  // I/O), so the native path is the default. The lowering and MarkDistinct
-  // fusion remain fully implemented, tested, and measurable by flipping
-  // this flag (see bench/rule_ablation).
-  bool enable_distinct_lowering = false;
-  bool enable_semijoin_rewrites = true;
-  bool enable_column_pruning = true;
   // Materialize every shareable duplicated subtree once via spool buffers
-  // (phase 8) — the general common-subexpression strategy the paper
+  // (phase 7) — the general common-subexpression strategy the paper
   // compares fusion against. Normally used with the fusion rules off; see
   // bench/spool_vs_fusion.
   bool enable_spooling = false;

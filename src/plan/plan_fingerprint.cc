@@ -56,9 +56,6 @@ void AssignDefinitions(const LogicalOp& op, ColumnCanon* canon) {
         canon->Define(w.id);
       }
       break;
-    case OpKind::kMarkDistinct:
-      canon->Define(Cast<MarkDistinctOp>(op).marker());
-      break;
     case OpKind::kUnionAll:
       for (const ColumnInfo& c : op.schema().columns()) canon->Define(c.id);
       break;
@@ -254,16 +251,6 @@ void Serialize(const LogicalOp& op, ColumnCanon* canon, std::ostringstream* os) 
         *os << "c" << canon->Resolve(w.id) << "=" << AggFuncName(w.func)
             << "(" << CanonExprOrNull(w.arg, canon) << "|"
             << CanonExprOrNull(w.mask, canon) << ")";
-      }
-      *os << "}";
-      break;
-    }
-    case OpKind::kMarkDistinct: {
-      const auto& md = Cast<MarkDistinctOp>(op);
-      *os << "MarkDistinct{c" << canon->Resolve(md.marker()) << ";";
-      for (size_t i = 0; i < md.distinct_columns().size(); ++i) {
-        if (i > 0) *os << ",";
-        *os << "c" << canon->Resolve(md.distinct_columns()[i]);
       }
       *os << "}";
       break;

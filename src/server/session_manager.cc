@@ -315,122 +315,72 @@ void SessionManager::ProcessBatch(const std::vector<SessionPtr>& sessions) {
 }
 
 void SessionManager::ExecuteGroup(Group* group, BatchReport* report) {
-  // Every fused group of two or more shares: its plan runs once for all
-  // members, and each consumer only restores its own rows from the output.
+  // The group's plan runs once for all members; each session's consumer
+  // applies its compensating filter over the output and reads its original
+  // output columns through renumber-then-fusion mappings. A group of one is
+  // a solo session: its consumer has no filter and an empty (identity)
+  // mapping, so it runs its own optimized plan through the same path.
+  // Output ids and names are the session's own, so the result schema is
+  // byte-identical to an isolated run of the submitted plan.
   size_t n = group->members.size();
-  if (n >= 2) {
-    // One shared execution: each session's consumer applies its
-    // compensating filter over the fused output and reads its original
-    // output columns through renumber-then-fusion mappings. Output ids and
-    // names are the session's own, so the result schema is byte-identical
-    // to an isolated run of the submitted plan.
-    std::vector<FanOutConsumer> consumers;
-    consumers.reserve(n);
-    for (const Group::Member& m : group->members) {
-      const CrossConsumer& cc = group->fuser.consumer(m.consumer);
-      FanOutConsumer fc;
-      fc.filter = cc.filter;
-      const Schema& original = m.session->plan()->schema();
-      fc.columns.reserve(original.num_columns());
-      for (const ColumnInfo& c : original.columns()) {
-        ColumnId fused = ApplyMap(cc.mapping, ApplyMap(m.renumber, c.id));
-        fc.columns.push_back(
-            {c.id, c.name, Expr::MakeColumnRef(fused, c.type)});
-      }
-      consumers.push_back(std::move(fc));
-    }
-    int64_t exec_start_ns = NowNanos();
-    Result<FanOutResult> result =
-        ExecuteFanOut(group->fuser.plan(), consumers, options_.exec);
-    if (!result.ok()) {
-      for (const Group::Member& m : group->members) {
-        m.session->Fulfill(result.status(), nullptr, {});
-      }
-      return;
-    }
-    uint64_t fingerprint = PlanFingerprint(group->fuser.plan());
-    int64_t bytes = result->metrics.bytes_scanned;
-    int64_t execute_us = (NowNanos() - exec_start_ns) / 1000;
-    report->shared_groups++;
-    report->shared_sessions += n;
-    report->bytes_scanned += bytes;
-    report->isolated_bytes_scanned += static_cast<int64_t>(n) * bytes;
-    if (MetricsRegistry* r = options_.metrics) {
-      r->Add(mids_.shared_groups, 1);
-      r->Add(mids_.bytes_scanned, bytes);
-    }
-    int64_t share_each = bytes / static_cast<int64_t>(n);
-    for (size_t i = 0; i < n; ++i) {
-      const Group::Member& m = group->members[i];
-      SessionSharing sharing;
-      sharing.session_id = m.session->id();
-      sharing.group_fingerprint = fingerprint;
-      sharing.consumers = static_cast<int>(n);
-      sharing.shared_bytes_scanned = bytes;
-      sharing.attributed_bytes_scanned =
-          share_each + (i == 0 ? bytes % static_cast<int64_t>(n) : 0);
-      sharing.isolated_bytes_scanned = static_cast<int64_t>(n) * bytes;
-      report->attributions.push_back({sharing.session_id, fingerprint,
-                                      sharing.consumers,
-                                      sharing.attributed_bytes_scanned,
-                                      result->results[i].num_rows()});
-      int64_t rows = result->results[i].num_rows();
-      int64_t queue_wait_us =
-          (exec_start_ns - m.session->submitted_ns()) / 1000;
-      m.session->SetTiming(queue_wait_us, execute_us);
-      m.session->Fulfill(std::move(result->results[i]), group->fuser.plan(),
-                         sharing);
-      FinishSession(m.session, sharing, rows, queue_wait_us, execute_us);
-    }
-    return;
-  }
-
-  // Solo: each member executes its own optimized plan — still through the
-  // fan-out path (single passthrough consumer relabelled with the
-  // session's original output ids), so shared and isolated execution
-  // cannot diverge.
+  if (n == 0) return;  // fulfilled with an error before execution
+  std::vector<FanOutConsumer> consumers;
+  consumers.reserve(n);
   for (const Group::Member& m : group->members) {
-    const PlanPtr& plan = group->fuser.members()[m.consumer];
+    const CrossConsumer& cc = group->fuser.consumer(m.consumer);
     FanOutConsumer fc;
+    fc.filter = cc.filter;
     const Schema& original = m.session->plan()->schema();
     fc.columns.reserve(original.num_columns());
     for (const ColumnInfo& c : original.columns()) {
-      ColumnId renumbered = ApplyMap(m.renumber, c.id);
-      Result<DataType> type = plan->schema().TypeOf(renumbered);
-      fc.columns.push_back(
-          {c.id, c.name,
-           Expr::MakeColumnRef(renumbered,
-                               type.ok() ? *type : c.type)});
+      ColumnId fused = ApplyMap(cc.mapping, ApplyMap(m.renumber, c.id));
+      fc.columns.push_back({c.id, c.name, Expr::MakeColumnRef(fused, c.type)});
     }
-    int64_t exec_start_ns = NowNanos();
-    Result<FanOutResult> result =
-        ExecuteFanOut(plan, {std::move(fc)}, options_.exec);
-    if (!result.ok()) {
+    consumers.push_back(std::move(fc));
+  }
+  const PlanPtr& plan = group->fuser.plan();
+  int64_t exec_start_ns = NowNanos();
+  Result<FanOutResult> result = ExecuteFanOut(plan, consumers, options_.exec);
+  if (!result.ok()) {
+    for (const Group::Member& m : group->members) {
       m.session->Fulfill(result.status(), nullptr, {});
-      continue;
     }
-    int64_t bytes = result->metrics.bytes_scanned;
-    int64_t execute_us = (NowNanos() - exec_start_ns) / 1000;
+    return;
+  }
+  uint64_t fingerprint = PlanFingerprint(plan);
+  int64_t bytes = result->metrics.bytes_scanned;
+  int64_t execute_us = (NowNanos() - exec_start_ns) / 1000;
+  bool shared = n >= 2;
+  if (shared) {
+    report->shared_groups++;
+    report->shared_sessions += n;
+  } else {
     report->solo_sessions++;
-    report->bytes_scanned += bytes;
-    report->isolated_bytes_scanned += bytes;
-    if (MetricsRegistry* r = options_.metrics) {
-      r->Add(mids_.bytes_scanned, bytes);
-    }
+  }
+  report->bytes_scanned += bytes;
+  report->isolated_bytes_scanned += static_cast<int64_t>(n) * bytes;
+  if (MetricsRegistry* r = options_.metrics) {
+    if (shared) r->Add(mids_.shared_groups, 1);
+    r->Add(mids_.bytes_scanned, bytes);
+  }
+  int64_t share_each = bytes / static_cast<int64_t>(n);
+  for (size_t i = 0; i < n; ++i) {
+    const Group::Member& m = group->members[i];
     SessionSharing sharing;
     sharing.session_id = m.session->id();
-    sharing.group_fingerprint = PlanFingerprint(plan);
-    sharing.consumers = 1;
+    sharing.group_fingerprint = fingerprint;
+    sharing.consumers = static_cast<int>(n);
     sharing.shared_bytes_scanned = bytes;
-    sharing.attributed_bytes_scanned = bytes;
-    sharing.isolated_bytes_scanned = bytes;
-    int64_t rows = result->results[0].num_rows();
-    report->attributions.push_back({sharing.session_id,
-                                    sharing.group_fingerprint, 1, bytes,
-                                    rows});
+    sharing.attributed_bytes_scanned =
+        share_each + (i == 0 ? bytes % static_cast<int64_t>(n) : 0);
+    sharing.isolated_bytes_scanned = static_cast<int64_t>(n) * bytes;
+    int64_t rows = result->results[i].num_rows();
+    report->attributions.push_back({sharing.session_id, fingerprint,
+                                    sharing.consumers,
+                                    sharing.attributed_bytes_scanned, rows});
     int64_t queue_wait_us = (exec_start_ns - m.session->submitted_ns()) / 1000;
     m.session->SetTiming(queue_wait_us, execute_us);
-    m.session->Fulfill(std::move(result->results[0]), plan, sharing);
+    m.session->Fulfill(std::move(result->results[i]), plan, sharing);
     FinishSession(m.session, sharing, rows, queue_wait_us, execute_us);
   }
 }

@@ -152,8 +152,8 @@ class SessionManager {
   /// batch_mu_; the master PlanContext is only touched here.
   void ProcessBatch(const std::vector<SessionPtr>& sessions);
 
-  /// Executes one group (shared when it has >= 2 members, otherwise solo)
-  /// and fulfills its sessions.
+  /// Executes one group through one fan-out execution (shared when it has
+  /// >= 2 members, a solo session otherwise) and fulfills its sessions.
   void ExecuteGroup(Group* group, BatchReport* report);
 
   /// Post-fulfillment telemetry for one successfully executed session:

@@ -1,6 +1,5 @@
 // Aggregation executor: grouped/scalar aggregates, per-aggregate masks
-// (Section III.E semantics), DISTINCT aggregates, window aggregation, and
-// MarkDistinct (Section III.F semantics).
+// (Section III.E semantics), DISTINCT aggregates and window aggregation.
 #include <gtest/gtest.h>
 
 #include "test_util.h"
@@ -123,6 +122,8 @@ TEST(AggregateExecTest, DistinctAggregates) {
   // i%5==4 nulls out amounts 4 and 9, leaving {0,1,2,3,5,6,7,8}.
   EXPECT_EQ(ScalarInt(r, 0), 8);
   EXPECT_EQ(r.At(0, 1), Value::Int64(0 + 1 + 2 + 3 + 5 + 6 + 7 + 8));
+  // Tiny chunks must not reset the distinct sets between chunks.
+  EXPECT_TRUE(ResultsEquivalent(r, MustExecute(b.Build(), /*chunk_size=*/4)));
 }
 
 TEST(AggregateExecTest, DistinctWithMask) {
@@ -195,45 +196,6 @@ TEST(WindowExecTest, AgreesWithAggregateJoin) {
   base.Project({{"g", bg}, {"t", base.Ref("total")}});
   QueryResult via_join = MustExecute(base.Build());
   EXPECT_TRUE(ResultsEquivalent(via_window, via_join));
-}
-
-TEST(MarkDistinctExecTest, MarksFirstOccurrences) {
-  PlanContext ctx;
-  PlanBuilder b = ScanSales(&ctx);
-  b.MarkDistinct("first_amount", {"amount"});
-  b.Aggregate({}, {{"marked", AggFunc::kCountStar, nullptr,
-                    b.Ref("first_amount"), false}});
-  QueryResult r = MustExecute(b.Build());
-  // 8 non-null distinct amounts + the NULL combination.
-  EXPECT_EQ(ScalarInt(r, 0), 9);
-}
-
-TEST(MarkDistinctExecTest, ImplementsDistinctAggregates) {
-  // The III.F lowering identity: COUNT(DISTINCT x) == COUNT(x) masked by a
-  // MarkDistinct marker over x.
-  PlanContext ctx;
-  PlanBuilder direct = ScanSales(&ctx);
-  direct.Aggregate({"grp"}, {{"d", AggFunc::kCount, direct.Ref("amount"),
-                              nullptr, true}});
-  QueryResult expected = MustExecute(direct.Build());
-
-  PlanBuilder lowered = ScanSales(&ctx);
-  lowered.MarkDistinct("m", {"grp", "amount"});
-  lowered.Aggregate({"grp"}, {{"d", AggFunc::kCount, lowered.Ref("amount"),
-                               lowered.Ref("m"), false}});
-  QueryResult got = MustExecute(lowered.Build());
-  EXPECT_TRUE(ResultsEquivalent(expected, got));
-}
-
-TEST(MarkDistinctExecTest, StreamsAcrossChunks) {
-  PlanContext ctx;
-  PlanBuilder b = ScanSales(&ctx);
-  b.MarkDistinct("m", {"amount"});
-  b.Aggregate({}, {{"marked", AggFunc::kCountStar, nullptr, b.Ref("m"),
-                    false}});
-  // Tiny chunks must not reset the seen-set between chunks.
-  QueryResult r = MustExecute(b.Build(), /*chunk_size=*/4);
-  EXPECT_EQ(ScalarInt(r, 0), 9);
 }
 
 }  // namespace

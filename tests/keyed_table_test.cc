@@ -5,6 +5,7 @@
 
 #include <set>
 
+#include "exec/agg_build.h"
 #include "exec/keyed_table.h"
 #include "test_util.h"
 
@@ -110,13 +111,17 @@ TEST(KeyedHashTableTest, NullKeysNeverJoinButGroupAndDeduplicate) {
   EXPECT_TRUE(grouped.At(0, 0).is_null());
   EXPECT_EQ(grouped.At(0, 1), Value::Int64(2));
 
-  PlanBuilder mark = values(&ctx, "d");
-  mark.MarkDistinct("first", {"d"});
-  QueryResult marked = MustExecute(mark.Build());
-  ASSERT_EQ(marked.num_rows(), 3);
-  EXPECT_EQ(marked.At(0, 1), Value::Bool(true));
-  EXPECT_EQ(marked.At(1, 1), Value::Bool(true));
-  EXPECT_EQ(marked.At(2, 1), Value::Bool(false));  // second NULL
+  // Deduplication (GROUP BY without aggregates) over a two-column key: NULL
+  // equals NULL in the same position only, so (NULL, 1) repeats but
+  // (1, NULL) is a key of its own.
+  Value null = Value::Null(DataType::kInt64);
+  PlanBuilder pairs = PlanBuilder::Values(
+      &ctx, {"a", "b"}, {DataType::kInt64, DataType::kInt64},
+      {{null, Value::Int64(1)},
+       {Value::Int64(1), null},
+       {null, Value::Int64(1)}});
+  pairs.Aggregate({"a", "b"}, {});
+  EXPECT_EQ(MustExecute(pairs.Build()).num_rows(), 2);
 }
 
 TEST(KeyedHashTableTest, StringColumnsAreLengthPrefixed) {
@@ -198,17 +203,6 @@ TEST(KeyedHashTableTest, OperatorsChargeTheTableByteSize) {
     rows.push_back({keys.back().has_value() ? Value::Int64(*keys.back())
                                             : Value::Null(DataType::kInt64)});
   }
-  PlanContext ctx;
-  PlanBuilder mark =
-      PlanBuilder::Values(&ctx, {"k"}, {DataType::kInt64}, rows);
-  mark.MarkDistinct("first", {"k"});
-  EXPECT_EQ(MustExecute(mark.Build(), /*chunk_size=*/64)
-                .metrics()
-                .peak_hash_bytes,
-            TableBytes(keys));
-
-  // A join charges its buffered build columns, its table of the non-NULL
-  // build keys, and one chain link per key id and per build row.
   std::vector<std::optional<int64_t>> join_keys;
   std::set<int64_t> distinct;
   for (const std::optional<int64_t>& k : keys) {
@@ -216,6 +210,25 @@ TEST(KeyedHashTableTest, OperatorsChargeTheTableByteSize) {
     join_keys.push_back(k);
     distinct.insert(*k);
   }
+
+  // A grouping without aggregates charges its table of the keys (NULL is
+  // one group) and the entry vector indexed by key id, grown as the
+  // operator grows it; there are no aggregate states.
+  PlanContext ctx;
+  PlanBuilder group =
+      PlanBuilder::Values(&ctx, {"k"}, {DataType::kInt64}, rows);
+  group.Aggregate({"k"}, {});
+  std::vector<internal::GroupEntry> entries;
+  for (size_t g = 0; g < distinct.size() + 1; ++g) entries.emplace_back();
+  EXPECT_EQ(MustExecute(group.Build(), /*chunk_size=*/64)
+                .metrics()
+                .peak_hash_bytes,
+            TableBytes(keys) + static_cast<int64_t>(
+                                   entries.capacity() *
+                                   sizeof(internal::GroupEntry)));
+
+  // A join charges its buffered build columns, its table of the non-NULL
+  // build keys, and one chain link per key id and per build row.
   PlanBuilder probe = PlanBuilder::Values(&ctx, {"p"}, {DataType::kInt64},
                                           {{Value::Int64(1)}});
   probe.JoinOn(JoinType::kInner,

@@ -190,9 +190,8 @@ TEST(OptimizerTraceTest, TimesEveryPhaseOnce) {
   Unwrap(Optimizer(OptimizerOptions::Fused()).Optimize(plan, &ctx));
   ctx.set_trace(nullptr);
 
-  // Fused mode runs these phases in this order (DISTINCT lowering and
-  // spooling are off); each is closed by the next BeginPhase or by the
-  // optimizer's final EndPhase.
+  // Fused mode runs these phases in this order (spooling is off); each is
+  // closed by the next BeginPhase or by the optimizer's final EndPhase.
   std::vector<std::string> phases;
   for (const PhaseTiming& t : trace.phase_times()) {
     phases.push_back(t.phase);

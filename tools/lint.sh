@@ -45,8 +45,8 @@ if grep -rn --include='*.cc' --include='*.h' 'std::chrono' src/exec \
   note_failure 'src/exec must use obs/operator_stats.h NowNanos(), not std::chrono'
 fi
 
-# The executor has one hash table: joins, aggregation, windows and
-# MarkDistinct key their rows through exec/keyed_table.h. A string-keyed
+# The executor has one hash table: joins, aggregation and windows key
+# their rows through exec/keyed_table.h. A string-keyed
 # standard container or a RowKeyEncoder in src/exec would be a second key
 # format with its own guessed memory charge. (The unordered_set<Value>
 # DISTINCT sets of agg_state.h are not keyed on rows and stay legal.)
@@ -54,6 +54,16 @@ if grep -rn --include='*.cc' --include='*.h' \
     'unordered_map<std::string\|unordered_set<std::string\|RowKeyEncoder' \
     src/exec 2>/dev/null; then
   note_failure 'keyed lookups in src/exec go through exec/keyed_table.h (KeyedHashTable), not string-keyed std containers'
+fi
+
+# DISTINCT aggregates have one implementation: the executor evaluates them
+# natively and Fuse's aggregate case fuses them. The paper's Section III.F
+# lowering onto a MarkDistinct operator was measured to scan the same bytes
+# while running q28 ~12x slower, and was deleted; it must not grow back as
+# a second DISTINCT path.
+if grep -rn --include='*.cc' --include='*.h' 'MarkDistinct' src \
+    2>/dev/null; then
+  note_failure 'DISTINCT aggregates are evaluated natively; no MarkDistinct operator or lowering under src/'
 fi
 
 # The filter/project/aggregate hot path is vectorized; a per-row EvalRow
